@@ -61,7 +61,6 @@ core::OptimizerOptions hunt_options(std::size_t inflight) {
     options.ga.population.operators.mutation_rate = 0.10;
     options.ga.population.operators.reset_rate = 0.01;
     options.ga.population.operators.seed_mutation_rate = 0.05;
-    options.parallel.enabled = true;
     options.parallel.jobs = kJobs;
     options.parallel.inflight = inflight;
     options.cache.enabled = true;

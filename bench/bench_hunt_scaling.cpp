@@ -40,9 +40,8 @@ core::OptimizerOptions hunt_options(std::size_t jobs, bool cache) {
     options.ga.population.operators.mutation_rate = 0.10;
     options.ga.population.operators.reset_rate = 0.01;
     options.ga.population.operators.seed_mutation_rate = 0.05;
-    // Replica evaluation at every jobs count — including 1 — so the only
-    // thing that varies across rows is the worker count.
-    options.parallel.enabled = true;
+    // Replica evaluation at every jobs count, so the only thing that
+    // varies across rows is the worker count.
     options.parallel.jobs = jobs;
     options.cache.enabled = cache;
     return options;

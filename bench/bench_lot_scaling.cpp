@@ -8,13 +8,13 @@
 // overlapping those waits across sites — the real economics of multi-site
 // ATE, and a speedup that materializes even on a single-core host.
 //
-// A second section ablates the lot-wide shared measurement ring: replica
-// lots (--inflight > 0) give every site an ordering domain on one credit
-// pool, so sites that are idle (not yet started, or finished) donate
-// their in-flight depth to the sites actually measuring. At equal total
-// inflight, per-site rings statically split the depth (inflight/sites
-// each) while the shared ring lets the few active sites go deep —
-// strictly more latency overlapped, byte-identical reports either way.
+// A second section ablates the lot-wide shared measurement ring: a lot
+// gives every site an ordering domain on one credit pool, so sites that
+// are idle (not yet started, or finished) donate their in-flight depth
+// to the sites actually measuring. At equal total inflight, per-site
+// rings statically split the depth (inflight/sites each) while the
+// shared ring lets the few active sites go deep — strictly more latency
+// overlapped, byte-identical reports either way.
 #include <chrono>
 #include <cstdio>
 #include <string>

@@ -42,8 +42,8 @@ core::OptimizerOptions hunt_options() {
     // pure single-threaded compute, which is the worst case for relative
     // instrumentation overhead (sleeping on emulated tester latency or
     // idle pool workers would only dilute it), and it keeps the CPU-time
-    // samples free of the pool's spin-before-park jitter.
-    options.parallel.enabled = false;
+    // samples free of the pool's spin-before-park jitter (jobs 1 measures
+    // inline on the calling thread).
     options.cache.enabled = true;
     return options;
 }

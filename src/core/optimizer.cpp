@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -98,9 +99,10 @@ WorstCaseReport WorstCaseOptimizer::run(ate::Tester& tester,
                                         util::Rng& rng) const {
     const NnTestGenerator nn_generator(model);
     // One pool serves both the NN seeding round and the replica fitness
-    // evaluation, instead of paying spawn/teardown per phase.
+    // evaluation, instead of paying spawn/teardown per phase. jobs 1 runs
+    // both inline on the calling thread.
     std::optional<util::ThreadPool> pool;
-    if (options_.parallel.enabled) pool.emplace(options_.parallel.jobs);
+    if (options_.parallel.jobs != 1) pool.emplace(options_.parallel.jobs);
 
     // A resumed hunt already holds fully dealt populations in its
     // checkpoint; NN seeding would only burn committee time (the rng it
@@ -108,7 +110,7 @@ WorstCaseReport WorstCaseOptimizer::run(ate::Tester& tester,
     std::vector<ga::TestChromosome> seeds;
     if (options_.checkpoint.resume_blob.empty()) {
         ScoringOptions scoring;
-        scoring.jobs = options_.parallel.enabled ? options_.parallel.jobs : 1;
+        scoring.jobs = options_.parallel.jobs;
         scoring.batch = options_.nn_score_batch;
         scoring.pool = pool ? &*pool : nullptr;
         TELEM_SPAN("hunt.nn_seeding");
@@ -194,17 +196,29 @@ WorstCaseReport WorstCaseOptimizer::drive(
             database.add_functional_failure(std::move(failure));
         };
 
+    // ---- replica evaluation -------------------------------------------
+    // Every fitness measurement runs on a cold replica of the DUT (a
+    // virtual re-insertion of the same die) whose noise stream is forked
+    // from a dedicated stream on the calling thread, in submission order —
+    // never by the workers — so every evaluation is a pure function of its
+    // own seed and the shared const follower, and the hunt is
+    // byte-identical at any jobs x inflight count. jobs 1 measures inline
+    // on the calling thread.
+    std::optional<util::ThreadPool> own_pool;
+    util::ThreadPool* pool = shared_pool;
+    if (pool == nullptr && options_.parallel.jobs != 1) {
+        pool = &own_pool.emplace(options_.parallel.jobs);
+    }
+    util::Rng noise_rng = rng.fork(0x7e57);
+    std::optional<ate::SearchUntilTrip> follower;
+
     // ---- crash-safe checkpointing -----------------------------------
     // The payload snapshots every piece of dynamic state the hunt loop
-    // depends on: rng streams, eval counter, session reference/policy,
-    // the tester ledger and device state, injector state, cache and
-    // database contents, and the GA loop itself — so a resumed hunt is
-    // byte-identical to one that was never interrupted. Branch-specific
-    // extras (replica noise stream, shared follower) are published
-    // through these pointers by the parallel path.
-    util::Rng* ck_noise_rng = nullptr;
-    std::optional<ate::SearchUntilTrip>* ck_follower = nullptr;
-
+    // depends on: rng streams (hunt and replica noise), eval counter,
+    // session reference/policy, the tester ledger and device state,
+    // injector state, cache and database contents, the shared follower,
+    // and the GA loop itself — so a resumed hunt is byte-identical to one
+    // that was never interrupted.
     const auto serialize_state = [&](const ga::MultiPopulationCheckpoint& ck) {
         std::string out;
         util::put_rng(out, rng);
@@ -239,15 +253,12 @@ WorstCaseReport WorstCaseOptimizer::drive(
         std::ostringstream db_stream;
         database.save(db_stream);
         util::put_string(out, db_stream.str());
-        const bool has_noise = ck_noise_rng != nullptr;
-        util::put_bool(out, has_noise);
-        if (has_noise) util::put_rng(out, *ck_noise_rng);
-        const bool has_follower =
-            ck_follower != nullptr && ck_follower->has_value();
-        util::put_bool(out, has_follower);
-        util::put_double(out, has_follower
-                                  ? (*ck_follower)->reference_trip_point()
-                                  : 0.0);
+        util::put_rng(out, noise_rng);
+        // The follower is unset until the first live measurement (a hunt
+        // answered entirely from a warm cache never sets it).
+        util::put_bool(out, follower.has_value());
+        util::put_double(out,
+                         follower ? follower->reference_trip_point() : 0.0);
         ck.save(out);
         return out;
     };
@@ -304,35 +315,13 @@ WorstCaseReport WorstCaseOptimizer::drive(
         const std::string db_blob = in.get_string(kMaxBlob);
         std::istringstream db_stream{db_blob};
         database = WorstCaseDatabase::load(db_stream);
-        const bool has_noise = in.get_bool();
-        if (has_noise) {
-            if (ck_noise_rng == nullptr) {
-                throw std::runtime_error(
-                    "hunt resume: parallel/serial mode mismatch");
-            }
-            *ck_noise_rng = in.get_rng();
-        }
+        noise_rng = in.get_rng();
         const bool has_follower = in.get_bool();
         const double follower_rtp = in.get_double();
-        if (has_follower) {
-            if (ck_follower == nullptr) {
-                throw std::runtime_error(
-                    "hunt resume: parallel/serial mode mismatch");
-            }
-            ck_follower->emplace(options_.trip.follow, follower_rtp);
-        }
+        if (has_follower) follower.emplace(options_.trip.follow, follower_rtp);
         return ga::MultiPopulationCheckpoint::load(in,
                                                    options_.ga.population);
     };
-
-    // Parallel replica evaluation needs a replicable DUT; fall back to the
-    // classic in-situ path when the device cannot be cloned.
-    bool parallel = options_.parallel.enabled;
-    if (parallel && tester.dut().clone_cold(1) == nullptr) {
-        util::log_info(
-            "optimizer: DUT does not support clone_cold; running serial");
-        parallel = false;
-    }
 
     // Async queue-pair evaluation (--inflight > 1). The fault injector's
     // forced outcomes and the measurement policy's screen/guard retries
@@ -340,52 +329,508 @@ WorstCaseReport WorstCaseOptimizer::drive(
     // engine (whose results the async engine matches byte-for-byte
     // anyway).
     std::size_t inflight = std::max<std::size_t>(1, options_.parallel.inflight);
-    bool use_async = parallel && inflight > 1;
-    if (use_async && (faults_on || policy_on)) {
+    if (inflight > 1 && (faults_on || policy_on)) {
         util::log_info(
             "optimizer: fault injection / measurement policy active; "
             "inflight > 1 falls back to blocking evaluation");
-        use_async = false;
+        inflight = 1;
     }
-    if (!use_async) inflight = 1;
+    const bool use_async = inflight > 1;
 
     const ga::MultiPopulationGa driver(options_.ga);
     WorstCaseReport report;
     report.objective = objective;
+    report.jobs = pool != nullptr ? pool->thread_count() : 1;
+    report.inflight = inflight;
 
-    // Shared by both branches; armed right before driver.run so the
-    // parallel path can publish its extra state pointers first.
+    // Warm replica slab: clone_cold + Tester construction paid once per
+    // slot at hunt start, then recycled via reset_warm for every fitness
+    // measurement. Auto-sizing covers every worker (blocking engine) and
+    // every in-flight search (async engine). Purely a perf layer — a slab
+    // lease is observably identical to a fresh cold clone, so
+    // reports/checkpoints/caches don't move.
+    const std::size_t slab_capacity =
+        options_.parallel.replica_slab == HuntParallelOptions::kAutoSlab
+            ? report.jobs * inflight
+            : options_.parallel.replica_slab;
+    std::optional<ReplicaSlab> slab;
+    if (slab_capacity > 0) slab.emplace(tester, slab_capacity);
+
+    // Hoisted once per hunt instead of copied per slot: the policy options
+    // template (only the seed differs between slots; the Tester options
+    // copies moved into the slab).
+    MeasurementPolicyOptions policy_template = options_.trip.policy;
+
+    struct Slot {
+        std::string name;
+        testgen::PatternRecipe recipe;
+        testgen::TestConditions conditions;
+        TripCacheKey key;
+        bool cached = false;
+        std::uint64_t noise_seed = 0;
+        testgen::Test test;
+        TripPointRecord record;
+        ate::MeasurementLog log;
+        bool functional_ran = false;
+        device::FunctionalResult functional;
+        /// Per-replica fault stream / resilience policy, forked on the
+        /// calling thread in submission order (empty when disabled).
+        std::optional<ate::FaultInjector> injector;
+        std::optional<MeasurementPolicy> policy;
+        /// What the measurement threw (site death, quarantine), if anything.
+        std::exception_ptr error;
+    };
+
+    // Per-batch scratch, hoisted so the outer buffers persist across
+    // fitness batches and generations instead of being reallocated per
+    // call (part of the per-slot allocation audit; the big per-slot costs
+    // — DUT arrays, Tester, ledger — live in the slab slots).
+    std::vector<Slot> slots_scratch;
+    std::vector<std::size_t> pending_scratch;
+
+    // Measures one slot on a fresh cold replica of the DUT. The first-ever
+    // evaluation runs the full-range search and publishes the RTP
+    // follower; it must be called inline before any worker uses
+    // `follower`.
+    const auto measure_slot = [&](Slot& slot, bool establish_reference) {
+        // Warm slab lease when available, cold clone otherwise — the
+        // leased replica is observably identical to the clone (reset_warm
+        // contract), with inline latency emulation kept (the blocking
+        // engine sleeps it, unlike the async path).
+        ReplicaSlab::Lease lease;
+        std::unique_ptr<device::DeviceUnderTest> cold_dut;
+        std::optional<ate::Tester> cold_tester;
+        if (slab.has_value()) {
+            lease = slab->acquire(slot.noise_seed, /*inline_latency=*/true);
+        } else {
+            cold_dut = tester.dut().clone_cold(slot.noise_seed);
+            cold_tester.emplace(*cold_dut, tester.options());
+        }
+        ate::Tester& replica = lease ? lease.tester() : *cold_tester;
+        if (slot.injector.has_value()) {
+            replica.attach_fault_injector(&*slot.injector);
+        }
+        replica.log().set_phase("ga-optimization");
+        if (options_.trip.settle_between_tests) replica.settle();
+        MeasurementPolicy* policy =
+            slot.policy.has_value() ? &*slot.policy : nullptr;
+        const ate::Oracle oracle =
+            policy != nullptr
+                ? policy->guard(replica.oracle(slot.test, parameter))
+                : replica.oracle(slot.test, parameter);
+
+        ate::SearchResult result;
+        if (establish_reference) {
+            const ate::SuccessiveApproximation initial(options_.trip.initial);
+            if (policy != nullptr) {
+                result = policy->screen(
+                    [&] { return initial.find(oracle, parameter); }, oracle,
+                    parameter);
+                double rtp = result.trip_point;
+                if (!result.found || std::isnan(rtp)) {
+                    rtp = 0.5 * (parameter.search_start + parameter.search_end);
+                }
+                follower.emplace(options_.trip.follow, parameter.quantize(rtp));
+            } else {
+                ate::ReferenceSearch ref = ate::make_reference_search(
+                    oracle, parameter, initial, options_.trip.follow);
+                follower.emplace(ref.follower);
+                result = std::move(ref.first_result);
+            }
+        } else {
+            const auto follow_attempt = [&] {
+                ate::SearchResult r = follower->find(oracle, parameter);
+                if (!r.found && options_.trip.full_search_on_miss) {
+                    const ate::SuccessiveApproximation full(
+                        options_.trip.initial);
+                    ate::SearchResult retry = full.find(oracle, parameter);
+                    retry.measurements += r.measurements;
+                    r = std::move(retry);
+                }
+                return r;
+            };
+            result = policy != nullptr
+                         ? policy->screen(follow_attempt, oracle, parameter)
+                         : follow_attempt();
+        }
+        slot.record = make_record(slot.name, result, parameter);
+
+        if (options_.check_functional_failures && slot.record.found) {
+            const double wcr = objective_wcr(objective, slot.record.trip_point,
+                                             parameter.spec);
+            if (wcr > options_.thresholds.fail) {
+                slot.functional = replica.run_functional(slot.test);
+                slot.functional_ran = true;
+            }
+        }
+        slot.log = std::move(replica.log());
+    };
+    const auto measure_guarded = [&](Slot& slot, bool establish_reference) {
+        try {
+            measure_slot(slot, establish_reference);
+        } catch (...) {
+            slot.error = std::current_exception();
+        }
+    };
+
+    // Ordering-stable reduction: ledger merges, database adds, and cache
+    // inserts all happen in submission order. Shared verbatim by the
+    // blocking and async engines — reduction order, not harvest order, is
+    // what the byte-identity contract rests on.
+    const auto reduce_slots = [&](std::vector<Slot>& slots) {
+        std::vector<double> values;
+        values.reserve(slots.size());
+        for (Slot& slot : slots) {
+            if (slot.error) {
+                // A failed measurement (site death) ends the hunt. Its
+                // fired faults still count, like those of every slot
+                // before it; later slots are dropped whether or not a
+                // worker already measured them, so the injected stats
+                // match at any jobs count.
+                if (slot.injector.has_value()) {
+                    injector->absorb_stats(slot.injector->stats());
+                }
+                std::rethrow_exception(slot.error);
+            }
+            if (!slot.cached) {
+                tester.log().merge(slot.log);
+                if (slot.policy.has_value()) {
+                    replica_faults.merge(slot.policy->counters());
+                }
+                if (slot.injector.has_value()) {
+                    injector->absorb_stats(slot.injector->stats());
+                }
+                // A not-found record under the policy reflects an
+                // environmental outage, not the chromosome: never memoize
+                // it.
+                if (use_cache && (slot.record.found || !policy_on)) {
+                    cache.insert(slot.key, slot.record);
+                }
+            }
+            if (!slot.record.found) {
+                telem_hunt_evaluation(false, 0.0);
+                values.push_back(0.0);
+                continue;
+            }
+            const double wcr = objective_wcr(objective, slot.record.trip_point,
+                                             parameter.spec);
+            telem_hunt_evaluation(true, wcr);
+            add_entry(slot.name, slot.recipe, slot.conditions,
+                      slot.record.trip_point, wcr);
+            if (slot.functional_ran && !slot.functional.pass()) {
+                add_functional_failure(slot.name, slot.recipe, slot.conditions,
+                                       slot.functional);
+            }
+            values.push_back(wcr);
+        }
+        return values;
+    };
+
+    // Decode, name, and consult the cache for one slot on the calling
+    // thread, in submission order. Returns false for cache hits (nothing
+    // to measure). Fault/policy streams fork here too, so a (seed,
+    // profile) pair replays the exact same fault sequence at any jobs
+    // count; draws happen only when enabled, keeping the disabled path's
+    // rng stream untouched.
+    const auto decode_slot = [&](Slot& slot, const ga::TestChromosome& c) {
+        slot.recipe = c.decode_recipe(generator_options.min_cycles,
+                                      generator_options.max_cycles);
+        slot.conditions =
+            c.decode_conditions(generator_options.condition_bounds);
+        slot.name = "ga-" + std::to_string(eval_counter++);
+        slot.key = TripCacheKey{slot.recipe, slot.conditions};
+        if (use_cache) {
+            if (const TripPointRecord* hit = cache.lookup(slot.key)) {
+                slot.cached = true;
+                slot.record = *hit;
+                slot.record.test_name = slot.name;
+                return false;
+            }
+        }
+        slot.test = generator.make_test(slot.recipe, slot.conditions,
+                                        slot.name);
+        slot.noise_seed = noise_rng();
+        if (faults_on) slot.injector.emplace(injector->fork(0));
+        if (policy_on) {
+            policy_template.seed = noise_rng();
+            slot.policy.emplace(policy_template);
+        }
+        return true;
+    };
+
+    const ga::BatchFitnessFn batch_fitness =
+        [&](std::span<const ga::TestChromosome> batch) {
+            TELEM_SPAN("hunt.fitness_batch");
+            std::vector<Slot>& slots = slots_scratch;
+            slots.clear();
+            slots.resize(batch.size());
+            std::vector<std::size_t>& pending = pending_scratch;
+            pending.clear();
+            for (std::size_t i = 0; i < batch.size(); ++i) {
+                if (decode_slot(slots[i], batch[i])) pending.push_back(i);
+            }
+
+            // The very first measurement establishes the shared RTP. If it
+            // failed, the follower stays unset and reduce_slots rethrows.
+            std::size_t k = 0;
+            if (!follower.has_value() && !pending.empty()) {
+                measure_guarded(slots[pending[k++]], true);
+            }
+            if (follower.has_value()) {
+                for (; k < pending.size(); ++k) {
+                    Slot* slot = &slots[pending[k]];
+                    if (pool == nullptr) {
+                        measure_guarded(*slot, false);
+                    } else {
+                        pool->submit([&measure_guarded, slot] {
+                            measure_guarded(*slot, false);
+                        });
+                    }
+                }
+                if (pool != nullptr) pool->wait();
+            }
+            return reduce_slots(slots);
+        };
+
+    // ---- async queue-pair engine (--inflight > 1) --------------------
+    // Each non-cached slot runs its trip search as a resumable state
+    // machine whose probes ride the bounded submission/completion queue:
+    // up to `inflight` searches are pending at once, the owner thread
+    // decodes/admits new slots while measurements are in flight, and under
+    // emulated tester latency the completion deadlines — not worker sleeps
+    // — carry the hardware wait. Harvest order is whatever ripens first;
+    // reduce_slots puts everything back in submission order.
+    ate::AsyncTesterOptions queue_options;
+    queue_options.queue_depth = inflight;
+    queue_options.latency = tester.latency_model();
+    // Lot-wide shared budget (when provided): this hunt's ring is one
+    // ordering domain drawing depth from the shared pool beyond its
+    // guaranteed floor. Purely a throttle — byte-identity holds at any
+    // dynamic depth, exactly as it does across --inflight values.
+    queue_options.shared_credits = options_.parallel.shared_credits;
+    std::optional<ate::AsyncTester> queue;
+    if (use_async) queue.emplace(queue_options, pool);
+    const ate::TesterOptions replica_options =
+        ate::AsyncTester::replica_options(tester.options());
+
+    const ga::BatchFitnessFn async_fitness =
+        [&](std::span<const ga::TestChromosome> batch) {
+            TELEM_SPAN("hunt.fitness_batch");
+            std::vector<Slot>& slots = slots_scratch;
+            slots.clear();
+            slots.resize(batch.size());
+
+            struct Driver {
+                Slot* slot = nullptr;
+                /// Warm slab lease (slab on) or cold clone storage
+                /// (slab off); `replica` points at whichever is live.
+                ReplicaSlab::Lease lease;
+                std::unique_ptr<device::DeviceUnderTest> dut;
+                std::optional<ate::Tester> cold_replica;
+                ate::Tester* replica = nullptr;
+                std::unique_ptr<ate::TripSearchTask> task;
+                /// First attempt is the RTP-window search; a miss
+                /// swaps in the full-range fallback, like the
+                /// blocking follow_attempt.
+                bool window_attempt = true;
+                std::size_t window_measurements = 0;
+                bool functional_pending = false;
+            };
+            std::vector<std::unique_ptr<Driver>> drivers;
+            std::size_t outstanding = 0;
+
+            std::function<void(Driver*)> advance_driver;
+
+            const auto finish_driver = [&](Driver* d) {
+                d->slot->log = std::move(d->replica->log());
+                d->replica = nullptr;
+                d->lease.reset();
+                d->cold_replica.reset();
+                d->dut.reset();
+                d->task.reset();
+                --outstanding;
+            };
+
+            const auto on_completion =
+                [&](Driver* d, const ate::AsyncCompletion& c) {
+                    if (c.error) std::rethrow_exception(c.error);
+                    if (d->functional_pending) {
+                        d->slot->functional = c.functional;
+                        d->slot->functional_ran = true;
+                        finish_driver(d);
+                        return;
+                    }
+                    d->task->complete(c.pass);
+                    advance_driver(d);
+                };
+
+            const auto submit_probe = [&](Driver* d) {
+                const auto id =
+                    static_cast<std::uint64_t>(d->slot - slots.data());
+                const bool ok = queue->submit(
+                    id, *d->replica, d->slot->test, parameter,
+                    d->task->pending_setting(),
+                    [&, d](const ate::AsyncCompletion& c) {
+                        on_completion(d, c);
+                    });
+                // A driver has exactly one request outstanding and
+                // resubmits from inside its harvested completion (ring
+                // slot already freed), so the ring cannot be full.
+                if (!ok) {
+                    throw std::logic_error(
+                        "async hunt: submission ring overflow");
+                }
+            };
+
+            advance_driver = [&](Driver* d) {
+                for (;;) {
+                    if (!d->task->done()) {
+                        submit_probe(d);
+                        return;
+                    }
+                    const ate::SearchResult& peek = d->task->result();
+                    if (d->window_attempt && !peek.found &&
+                        options_.trip.full_search_on_miss) {
+                        // Window miss: full-range retry; the window's
+                        // probes stay on the bill.
+                        d->window_measurements = peek.measurements;
+                        d->window_attempt = false;
+                        d->task = std::make_unique<
+                            ate::SuccessiveApproximationTask>(
+                            options_.trip.initial, parameter);
+                        continue;
+                    }
+                    break;
+                }
+                ate::SearchResult result = d->task->take_result();
+                if (!d->window_attempt) {
+                    result.measurements += d->window_measurements;
+                }
+                d->slot->record =
+                    make_record(d->slot->name, result, parameter);
+                if (options_.check_functional_failures &&
+                    d->slot->record.found) {
+                    const double wcr = objective_wcr(
+                        objective, d->slot->record.trip_point,
+                        parameter.spec);
+                    if (wcr > options_.thresholds.fail) {
+                        d->functional_pending = true;
+                        const auto id = static_cast<std::uint64_t>(
+                            d->slot - slots.data());
+                        if (!queue->submit_functional(
+                                id, *d->replica, d->slot->test,
+                                [&, d](const ate::AsyncCompletion& c) {
+                                    on_completion(d, c);
+                                })) {
+                            throw std::logic_error(
+                                "async hunt: submission ring overflow");
+                        }
+                        return;
+                    }
+                }
+                finish_driver(d);
+            };
+
+            const auto start_driver = [&](std::size_t i) {
+                Slot& slot = slots[i];
+                auto d = std::make_unique<Driver>();
+                d->slot = &slot;
+                if (slab.has_value()) {
+                    d->lease = slab->acquire(slot.noise_seed,
+                                             /*inline_latency=*/false);
+                    d->replica = &d->lease.tester();
+                } else {
+                    d->dut = tester.dut().clone_cold(slot.noise_seed);
+                    d->cold_replica.emplace(*d->dut, replica_options);
+                    d->replica = &*d->cold_replica;
+                }
+                d->replica->log().set_phase("ga-optimization");
+                if (options_.trip.settle_between_tests) {
+                    d->replica->settle();
+                }
+                d->task = std::make_unique<ate::SearchUntilTripTask>(
+                    options_.trip.follow, follower->reference_trip_point(),
+                    parameter);
+                ++outstanding;
+                Driver* raw = d.get();
+                drivers.push_back(std::move(d));
+                submit_probe(raw);
+            };
+
+            // If a completion callback throws, workers may still be
+            // evaluating requests that borrow this frame's drivers —
+            // park the queue before the frame unwinds.
+            struct Quiesce {
+                ate::AsyncTester* q;
+                ~Quiesce() { q->quiesce(); }
+            } quiesce_guard{&*queue};
+
+            // The very first measurement establishes the shared RTP,
+            // inline and blocking, exactly like the threaded engine.
+            std::size_t next = 0;
+            if (!follower.has_value()) {
+                while (next < slots.size()) {
+                    const std::size_t i = next++;
+                    if (!decode_slot(slots[i], batch[i])) continue;
+                    measure_slot(slots[i], /*establish_reference=*/true);
+                    break;
+                }
+            }
+            while (next < slots.size() || outstanding > 0) {
+                // Admit new searches while the ring has room: decode,
+                // cache lookup, and cold-replica cloning all happen
+                // here, hidden under whatever is already in flight.
+                while (next < slots.size() && queue->can_submit()) {
+                    const std::size_t i = next++;
+                    if (decode_slot(slots[i], batch[i])) start_driver(i);
+                    // Greedy harvest: a completion that ripens
+                    // instantly (inline eval, zero emulated latency)
+                    // runs its follow-up probe now, so a search chain
+                    // executes back-to-back on its hot replica instead
+                    // of round-robining `inflight` cold working sets
+                    // through the cache. Nothing ripens early when
+                    // latency is emulated, so the pipeline still fills.
+                    while (queue->poll() > 0) {
+                    }
+                }
+                if (outstanding > 0) (void)queue->wait();
+            }
+            // Fully drained: no request outlives its batch, so the
+            // generation-boundary checkpoint below never snapshots
+            // with measurements pending (drain-before-snapshot).
+            return reduce_slots(slots);
+        };
+
     ga::MultiPopulationResume hooks;
     ga::MultiPopulationCheckpoint resume_checkpoint;
-    const auto arm_checkpointing = [&] {
-        if (resuming) {
-            util::ByteReader in(options_.checkpoint.resume_blob);
-            resume_checkpoint = restore_state(in);
-            hooks.resume = &resume_checkpoint;
-            util::log_info("optimizer: resumed hunt at generation ",
-                           resume_checkpoint.next_generation);
-        }
-        if (options_.on_generation) {
-            // Observational only: sampled outside the fitness path, no
-            // randomness drawn, nothing fed back into the GA. Rides the
-            // copy-free observer hook so watching a hunt never pays the
-            // per-generation population snapshot checkpointing needs.
-            hooks.observer = [&](std::size_t next_generation,
-                                 const ga::MultiPopulationOutcome& outcome) {
-                HuntProgress progress;
-                progress.next_generation = next_generation;
-                progress.max_generations = options_.ga.max_generations;
-                progress.evaluations = outcome.evaluations;
-                progress.restarts = outcome.restarts;
-                progress.best_fitness = outcome.best_fitness;
-                progress.cache = cache.stats();
-                progress.ate_applications = static_cast<std::size_t>(
-                    tester.log().total().applications - applications_before);
-                progress.inflight = inflight;
-                options_.on_generation(progress);
-            };
-        }
-        if (!checkpointing) return;
+    if (resuming) {
+        util::ByteReader in(options_.checkpoint.resume_blob);
+        resume_checkpoint = restore_state(in);
+        hooks.resume = &resume_checkpoint;
+        util::log_info("optimizer: resumed hunt at generation ",
+                       resume_checkpoint.next_generation);
+    }
+    if (options_.on_generation) {
+        // Observational only: sampled outside the fitness path, no
+        // randomness drawn, nothing fed back into the GA. Rides the
+        // copy-free observer hook so watching a hunt never pays the
+        // per-generation population snapshot checkpointing needs.
+        hooks.observer = [&](std::size_t next_generation,
+                             const ga::MultiPopulationOutcome& outcome) {
+            HuntProgress progress;
+            progress.next_generation = next_generation;
+            progress.max_generations = options_.ga.max_generations;
+            progress.evaluations = outcome.evaluations;
+            progress.restarts = outcome.restarts;
+            progress.best_fitness = outcome.best_fitness;
+            progress.cache = cache.stats();
+            progress.ate_applications = static_cast<std::size_t>(
+                tester.log().total().applications - applications_before);
+            progress.inflight = inflight;
+            options_.on_generation(progress);
+        };
+    }
+    if (checkpointing) {
         hooks.on_generation = [&](const ga::MultiPopulationCheckpoint& ck) {
             const std::size_t every =
                 std::max<std::size_t>(1, options_.checkpoint.every);
@@ -398,567 +843,17 @@ WorstCaseReport WorstCaseOptimizer::drive(
                 CICHAR_CRASH_POINT("core.optimizer.post_checkpoint");
             }
             if (abort) {
-                // Deterministic stand-in for SIGKILL: stop mid-hunt with
-                // the checkpoint written and the report marked partial.
+                // Deterministic stand-in for SIGKILL: stop mid-hunt with the
+                // checkpoint written and the report marked partial.
                 report.aborted = true;
                 return false;
             }
             return true;
         };
-    };
-
-    if (!parallel) {
-        report.jobs = 1;
-        const ga::FitnessFn fitness =
-            [&](const ga::TestChromosome& chromosome) {
-                const testgen::PatternRecipe recipe = chromosome.decode_recipe(
-                    generator_options.min_cycles, generator_options.max_cycles);
-                const testgen::TestConditions conditions =
-                    chromosome.decode_conditions(
-                        generator_options.condition_bounds);
-                const std::string name = "ga-" + std::to_string(eval_counter++);
-                const TripCacheKey key{recipe, conditions};
-
-                TripPointRecord record;
-                bool from_cache = false;
-                if (use_cache) {
-                    if (const TripPointRecord* hit = cache.lookup(key)) {
-                        record = *hit;
-                        record.test_name = name;
-                        from_cache = true;
-                    }
-                }
-                testgen::Test test;
-                if (!from_cache) {
-                    test = generator.make_test(recipe, conditions, name);
-                    record = session.measure(test);
-                    // An unrecoverable (not-found) result under the policy
-                    // is environmental, not chromosome-intrinsic — caching
-                    // it would replay the outage forever.
-                    if (use_cache && (record.found || !policy_on)) {
-                        cache.insert(key, record);
-                    }
-                }
-                if (!record.found) {
-                    telem_hunt_evaluation(false, 0.0);
-                    return 0.0;  // no crossover: harmless
-                }
-
-                const double wcr = objective_wcr(objective, record.trip_point,
-                                                 parameter.spec);
-                telem_hunt_evaluation(true, wcr);
-                add_entry(name, recipe, conditions, record.trip_point, wcr);
-
-                // Cache hits replay a known trip point without touching the
-                // tester, so the functional pattern (which would cost a
-                // fresh measurement) only runs on misses.
-                if (!from_cache && options_.check_functional_failures &&
-                    wcr > options_.thresholds.fail) {
-                    const device::FunctionalResult functional =
-                        tester.run_functional(test);
-                    if (!functional.pass()) {
-                        add_functional_failure(name, recipe, conditions,
-                                               functional);
-                    }
-                }
-                return wcr;
-            };
-        arm_checkpointing();
-        // as_batch keeps the legacy per-individual trajectory bit-exact;
-        // the hooks overload is a no-op with default hooks.
-        report.outcome =
-            driver.run(ga::as_batch(fitness), std::move(seeds), rng, hooks);
-    } else {
-        std::optional<util::ThreadPool> own_pool;
-        util::ThreadPool& pool = shared_pool != nullptr
-                                     ? *shared_pool
-                                     : own_pool.emplace(options_.parallel.jobs);
-        report.jobs = pool.thread_count();
-        // Replica noise streams are forked from a dedicated stream on the
-        // calling thread, in submission order — never by the workers — so
-        // every evaluation is a pure function of its own seed and the
-        // shared const follower, and the hunt is byte-identical at any
-        // jobs count.
-        util::Rng noise_rng = rng.fork(0x7e57);
-        std::optional<ate::SearchUntilTrip> follower;
-        ck_noise_rng = &noise_rng;
-        ck_follower = &follower;
-
-        // Warm replica slab: clone_cold + Tester construction paid once
-        // per slot at hunt start, then recycled via reset_warm for every
-        // fitness measurement. Auto-sizing covers every worker (blocking
-        // engine) and every in-flight search (async engine). Purely a
-        // perf layer — a slab lease is observably identical to a fresh
-        // cold clone, so reports/checkpoints/caches don't move.
-        const std::size_t slab_capacity =
-            options_.parallel.replica_slab == HuntParallelOptions::kAutoSlab
-                ? report.jobs * inflight
-                : options_.parallel.replica_slab;
-        std::optional<ReplicaSlab> slab;
-        if (slab_capacity > 0) slab.emplace(tester, slab_capacity);
-
-        // Hoisted once per hunt instead of copied per slot: the policy
-        // options template (only the seed differs between slots; the
-        // Tester options copies moved into the slab).
-        MeasurementPolicyOptions policy_template = options_.trip.policy;
-
-        struct Slot {
-            std::string name;
-            testgen::PatternRecipe recipe;
-            testgen::TestConditions conditions;
-            TripCacheKey key;
-            bool cached = false;
-            std::uint64_t noise_seed = 0;
-            testgen::Test test;
-            TripPointRecord record;
-            ate::MeasurementLog log;
-            bool functional_ran = false;
-            device::FunctionalResult functional;
-            /// Per-replica fault stream / resilience policy, forked on the
-            /// calling thread in submission order (empty when disabled).
-            std::optional<ate::FaultInjector> injector;
-            std::optional<MeasurementPolicy> policy;
-        };
-
-        // Per-batch scratch, hoisted so the outer buffers persist across
-        // fitness batches and generations instead of being reallocated
-        // per call (part of the per-slot allocation audit; the big
-        // per-slot costs — DUT arrays, Tester, ledger — live in the
-        // slab slots).
-        std::vector<Slot> slots_scratch;
-        std::vector<std::size_t> pending_scratch;
-
-        // Measures one slot on a fresh cold replica of the DUT (a virtual
-        // re-insertion of the same die). The first-ever evaluation runs
-        // the full-range search and publishes the RTP follower; it must be
-        // called inline before any worker uses `follower`.
-        const auto measure_slot = [&](Slot& slot, bool establish_reference) {
-            // Warm slab lease when available, cold clone otherwise — the
-            // leased replica is observably identical to the clone
-            // (reset_warm contract), with inline latency emulation kept
-            // (the blocking engine sleeps it, unlike the async path).
-            ReplicaSlab::Lease lease;
-            std::unique_ptr<device::DeviceUnderTest> cold_dut;
-            std::optional<ate::Tester> cold_tester;
-            if (slab.has_value()) {
-                lease = slab->acquire(slot.noise_seed,
-                                      /*inline_latency=*/true);
-            } else {
-                cold_dut = tester.dut().clone_cold(slot.noise_seed);
-                cold_tester.emplace(*cold_dut, tester.options());
-            }
-            ate::Tester& replica = lease ? lease.tester() : *cold_tester;
-            if (slot.injector.has_value()) {
-                replica.attach_fault_injector(&*slot.injector);
-            }
-            replica.log().set_phase("ga-optimization");
-            if (options_.trip.settle_between_tests) replica.settle();
-            MeasurementPolicy* policy =
-                slot.policy.has_value() ? &*slot.policy : nullptr;
-            const ate::Oracle oracle =
-                policy != nullptr ? policy->guard(replica.oracle(slot.test,
-                                                                 parameter))
-                                  : replica.oracle(slot.test, parameter);
-
-            ate::SearchResult result;
-            if (establish_reference) {
-                const ate::SuccessiveApproximation initial(
-                    options_.trip.initial);
-                if (policy != nullptr) {
-                    result = policy->screen(
-                        [&] { return initial.find(oracle, parameter); },
-                        oracle, parameter);
-                    double rtp = result.trip_point;
-                    if (!result.found || std::isnan(rtp)) {
-                        rtp = 0.5 * (parameter.search_start +
-                                     parameter.search_end);
-                    }
-                    follower.emplace(options_.trip.follow,
-                                     parameter.quantize(rtp));
-                } else {
-                    ate::ReferenceSearch ref = ate::make_reference_search(
-                        oracle, parameter, initial, options_.trip.follow);
-                    follower.emplace(ref.follower);
-                    result = std::move(ref.first_result);
-                }
-            } else {
-                const auto follow_attempt = [&] {
-                    ate::SearchResult r = follower->find(oracle, parameter);
-                    if (!r.found && options_.trip.full_search_on_miss) {
-                        const ate::SuccessiveApproximation full(
-                            options_.trip.initial);
-                        ate::SearchResult retry = full.find(oracle, parameter);
-                        retry.measurements += r.measurements;
-                        r = std::move(retry);
-                    }
-                    return r;
-                };
-                result = policy != nullptr
-                             ? policy->screen(follow_attempt, oracle,
-                                              parameter)
-                             : follow_attempt();
-            }
-            slot.record = make_record(slot.name, result, parameter);
-
-            if (options_.check_functional_failures && slot.record.found) {
-                const double wcr = objective_wcr(
-                    objective, slot.record.trip_point, parameter.spec);
-                if (wcr > options_.thresholds.fail) {
-                    slot.functional = replica.run_functional(slot.test);
-                    slot.functional_ran = true;
-                }
-            }
-            slot.log = std::move(replica.log());
-        };
-
-        // Ordering-stable reduction: ledger merges, database adds, and
-        // cache inserts all happen in submission order. Shared verbatim by
-        // the blocking and async engines — reduction order, not harvest
-        // order, is what the byte-identity contract rests on.
-        const auto reduce_slots = [&](std::vector<Slot>& slots) {
-            std::vector<double> values;
-            values.reserve(slots.size());
-            for (Slot& slot : slots) {
-                if (!slot.cached) {
-                    tester.log().merge(slot.log);
-                    if (slot.policy.has_value()) {
-                        replica_faults.merge(slot.policy->counters());
-                    }
-                    if (slot.injector.has_value()) {
-                        injector->absorb_stats(slot.injector->stats());
-                    }
-                    // A not-found record under the policy reflects an
-                    // environmental outage, not the chromosome: never
-                    // memoize it.
-                    if (use_cache && (slot.record.found || !policy_on)) {
-                        cache.insert(slot.key, slot.record);
-                    }
-                }
-                if (!slot.record.found) {
-                    telem_hunt_evaluation(false, 0.0);
-                    values.push_back(0.0);
-                    continue;
-                }
-                const double wcr = objective_wcr(
-                    objective, slot.record.trip_point, parameter.spec);
-                telem_hunt_evaluation(true, wcr);
-                add_entry(slot.name, slot.recipe, slot.conditions,
-                          slot.record.trip_point, wcr);
-                if (slot.functional_ran && !slot.functional.pass()) {
-                    add_functional_failure(slot.name, slot.recipe,
-                                           slot.conditions, slot.functional);
-                }
-                values.push_back(wcr);
-            }
-            return values;
-        };
-
-        const ga::BatchFitnessFn batch_fitness =
-            [&](std::span<const ga::TestChromosome> batch) {
-                TELEM_SPAN("hunt.fitness_batch");
-                std::vector<Slot>& slots = slots_scratch;
-                slots.clear();
-                slots.resize(batch.size());
-                std::vector<std::size_t>& pending = pending_scratch;
-                pending.clear();
-                pending.reserve(batch.size());
-
-                // Decode, name, and consult the cache in submission order
-                // on the calling thread.
-                for (std::size_t i = 0; i < batch.size(); ++i) {
-                    Slot& slot = slots[i];
-                    slot.recipe = batch[i].decode_recipe(
-                        generator_options.min_cycles,
-                        generator_options.max_cycles);
-                    slot.conditions = batch[i].decode_conditions(
-                        generator_options.condition_bounds);
-                    slot.name = "ga-" + std::to_string(eval_counter++);
-                    slot.key = TripCacheKey{slot.recipe, slot.conditions};
-                    if (use_cache) {
-                        if (const TripPointRecord* hit =
-                                cache.lookup(slot.key)) {
-                            slot.cached = true;
-                            slot.record = *hit;
-                            slot.record.test_name = slot.name;
-                            continue;
-                        }
-                    }
-                    slot.test = generator.make_test(slot.recipe,
-                                                    slot.conditions, slot.name);
-                    slot.noise_seed = noise_rng();
-                    // Fault/policy streams fork on the calling thread in
-                    // submission order so a (seed, profile, jobs) triple
-                    // replays the exact same fault sequence at any jobs
-                    // count. Draws happen only when enabled, keeping the
-                    // disabled path's rng stream untouched.
-                    if (faults_on) slot.injector.emplace(injector->fork(0));
-                    if (policy_on) {
-                        policy_template.seed = noise_rng();
-                        slot.policy.emplace(policy_template);
-                    }
-                    pending.push_back(i);
-                }
-
-                // The very first measurement establishes the shared RTP.
-                std::size_t first_worker = 0;
-                if (!follower.has_value() && !pending.empty()) {
-                    measure_slot(slots[pending.front()], true);
-                    first_worker = 1;
-                }
-                for (std::size_t k = first_worker; k < pending.size(); ++k) {
-                    Slot* slot = &slots[pending[k]];
-                    pool.submit(
-                        [&measure_slot, slot] { measure_slot(*slot, false); });
-                }
-                pool.wait();
-                return reduce_slots(slots);
-            };
-
-        // ---- async queue-pair engine (--inflight > 1) ----------------
-        // Each non-cached slot runs its trip search as a resumable state
-        // machine whose probes ride the bounded submission/completion
-        // queue: up to `inflight` searches are pending at once, the owner
-        // thread decodes/admits new slots while measurements are in
-        // flight, and under emulated tester latency the completion
-        // deadlines — not worker sleeps — carry the hardware wait.
-        // Harvest order is whatever ripens first; reduce_slots puts
-        // everything back in submission order.
-        ate::AsyncTesterOptions queue_options;
-        queue_options.queue_depth = inflight;
-        queue_options.latency = tester.latency_model();
-        // Lot-wide shared budget (when provided): this hunt's ring is one
-        // ordering domain drawing depth from the shared pool beyond its
-        // guaranteed floor. Purely a throttle — byte-identity holds at
-        // any dynamic depth, exactly as it does across --inflight values.
-        queue_options.shared_credits = options_.parallel.shared_credits;
-        std::optional<ate::AsyncTester> queue;
-        if (use_async) queue.emplace(queue_options, &pool);
-        const ate::TesterOptions replica_options =
-            ate::AsyncTester::replica_options(tester.options());
-
-        const ga::BatchFitnessFn async_fitness =
-            [&](std::span<const ga::TestChromosome> batch) {
-                TELEM_SPAN("hunt.fitness_batch");
-                std::vector<Slot>& slots = slots_scratch;
-                slots.clear();
-                slots.resize(batch.size());
-
-                // Decode, name, and consult the cache for one slot — the
-                // same calling-thread mutation order as the blocking
-                // engine, performed lazily at admission time so it
-                // overlaps pending measurements. Returns false for cache
-                // hits (nothing to measure).
-                const auto decode_slot = [&](std::size_t i) {
-                    Slot& slot = slots[i];
-                    slot.recipe = batch[i].decode_recipe(
-                        generator_options.min_cycles,
-                        generator_options.max_cycles);
-                    slot.conditions = batch[i].decode_conditions(
-                        generator_options.condition_bounds);
-                    slot.name = "ga-" + std::to_string(eval_counter++);
-                    slot.key = TripCacheKey{slot.recipe, slot.conditions};
-                    if (use_cache) {
-                        if (const TripPointRecord* hit =
-                                cache.lookup(slot.key)) {
-                            slot.cached = true;
-                            slot.record = *hit;
-                            slot.record.test_name = slot.name;
-                            return false;
-                        }
-                    }
-                    slot.test = generator.make_test(slot.recipe,
-                                                    slot.conditions, slot.name);
-                    slot.noise_seed = noise_rng();
-                    return true;
-                };
-
-                struct Driver {
-                    Slot* slot = nullptr;
-                    /// Warm slab lease (slab on) or cold clone storage
-                    /// (slab off); `replica` points at whichever is live.
-                    ReplicaSlab::Lease lease;
-                    std::unique_ptr<device::DeviceUnderTest> dut;
-                    std::optional<ate::Tester> cold_replica;
-                    ate::Tester* replica = nullptr;
-                    std::unique_ptr<ate::TripSearchTask> task;
-                    /// First attempt is the RTP-window search; a miss
-                    /// swaps in the full-range fallback, like the
-                    /// blocking follow_attempt.
-                    bool window_attempt = true;
-                    std::size_t window_measurements = 0;
-                    bool functional_pending = false;
-                };
-                std::vector<std::unique_ptr<Driver>> drivers;
-                std::size_t outstanding = 0;
-
-                std::function<void(Driver*)> advance_driver;
-
-                const auto finish_driver = [&](Driver* d) {
-                    d->slot->log = std::move(d->replica->log());
-                    d->replica = nullptr;
-                    d->lease.reset();
-                    d->cold_replica.reset();
-                    d->dut.reset();
-                    d->task.reset();
-                    --outstanding;
-                };
-
-                const auto on_completion =
-                    [&](Driver* d, const ate::AsyncCompletion& c) {
-                        if (c.error) std::rethrow_exception(c.error);
-                        if (d->functional_pending) {
-                            d->slot->functional = c.functional;
-                            d->slot->functional_ran = true;
-                            finish_driver(d);
-                            return;
-                        }
-                        d->task->complete(c.pass);
-                        advance_driver(d);
-                    };
-
-                const auto submit_probe = [&](Driver* d) {
-                    const auto id =
-                        static_cast<std::uint64_t>(d->slot - slots.data());
-                    const bool ok = queue->submit(
-                        id, *d->replica, d->slot->test, parameter,
-                        d->task->pending_setting(),
-                        [&, d](const ate::AsyncCompletion& c) {
-                            on_completion(d, c);
-                        });
-                    // A driver has exactly one request outstanding and
-                    // resubmits from inside its harvested completion (ring
-                    // slot already freed), so the ring cannot be full.
-                    if (!ok) {
-                        throw std::logic_error(
-                            "async hunt: submission ring overflow");
-                    }
-                };
-
-                advance_driver = [&](Driver* d) {
-                    for (;;) {
-                        if (!d->task->done()) {
-                            submit_probe(d);
-                            return;
-                        }
-                        const ate::SearchResult& peek = d->task->result();
-                        if (d->window_attempt && !peek.found &&
-                            options_.trip.full_search_on_miss) {
-                            // Window miss: full-range retry; the window's
-                            // probes stay on the bill.
-                            d->window_measurements = peek.measurements;
-                            d->window_attempt = false;
-                            d->task = std::make_unique<
-                                ate::SuccessiveApproximationTask>(
-                                options_.trip.initial, parameter);
-                            continue;
-                        }
-                        break;
-                    }
-                    ate::SearchResult result = d->task->take_result();
-                    if (!d->window_attempt) {
-                        result.measurements += d->window_measurements;
-                    }
-                    d->slot->record =
-                        make_record(d->slot->name, result, parameter);
-                    if (options_.check_functional_failures &&
-                        d->slot->record.found) {
-                        const double wcr = objective_wcr(
-                            objective, d->slot->record.trip_point,
-                            parameter.spec);
-                        if (wcr > options_.thresholds.fail) {
-                            d->functional_pending = true;
-                            const auto id = static_cast<std::uint64_t>(
-                                d->slot - slots.data());
-                            if (!queue->submit_functional(
-                                    id, *d->replica, d->slot->test,
-                                    [&, d](const ate::AsyncCompletion& c) {
-                                        on_completion(d, c);
-                                    })) {
-                                throw std::logic_error(
-                                    "async hunt: submission ring overflow");
-                            }
-                            return;
-                        }
-                    }
-                    finish_driver(d);
-                };
-
-                const auto start_driver = [&](std::size_t i) {
-                    Slot& slot = slots[i];
-                    auto d = std::make_unique<Driver>();
-                    d->slot = &slot;
-                    if (slab.has_value()) {
-                        d->lease = slab->acquire(slot.noise_seed,
-                                                 /*inline_latency=*/false);
-                        d->replica = &d->lease.tester();
-                    } else {
-                        d->dut = tester.dut().clone_cold(slot.noise_seed);
-                        d->cold_replica.emplace(*d->dut, replica_options);
-                        d->replica = &*d->cold_replica;
-                    }
-                    d->replica->log().set_phase("ga-optimization");
-                    if (options_.trip.settle_between_tests) {
-                        d->replica->settle();
-                    }
-                    d->task = std::make_unique<ate::SearchUntilTripTask>(
-                        options_.trip.follow, follower->reference_trip_point(),
-                        parameter);
-                    ++outstanding;
-                    Driver* raw = d.get();
-                    drivers.push_back(std::move(d));
-                    submit_probe(raw);
-                };
-
-                // If a completion callback throws, workers may still be
-                // evaluating requests that borrow this frame's drivers —
-                // park the queue before the frame unwinds.
-                struct Quiesce {
-                    ate::AsyncTester* q;
-                    ~Quiesce() { q->quiesce(); }
-                } quiesce_guard{&*queue};
-
-                // The very first measurement establishes the shared RTP,
-                // inline and blocking, exactly like the threaded engine.
-                std::size_t next = 0;
-                if (!follower.has_value()) {
-                    while (next < slots.size()) {
-                        const std::size_t i = next++;
-                        if (!decode_slot(i)) continue;
-                        measure_slot(slots[i], /*establish_reference=*/true);
-                        break;
-                    }
-                }
-                while (next < slots.size() || outstanding > 0) {
-                    // Admit new searches while the ring has room: decode,
-                    // cache lookup, and cold-replica cloning all happen
-                    // here, hidden under whatever is already in flight.
-                    while (next < slots.size() && queue->can_submit()) {
-                        const std::size_t i = next++;
-                        if (decode_slot(i)) start_driver(i);
-                        // Greedy harvest: a completion that ripens
-                        // instantly (inline eval, zero emulated latency)
-                        // runs its follow-up probe now, so a search chain
-                        // executes back-to-back on its hot replica instead
-                        // of round-robining `inflight` cold working sets
-                        // through the cache. Nothing ripens early when
-                        // latency is emulated, so the pipeline still fills.
-                        while (queue->poll() > 0) {
-                        }
-                    }
-                    if (outstanding > 0) (void)queue->wait();
-                }
-                // Fully drained: no request outlives its batch, so the
-                // generation-boundary checkpoint below never snapshots
-                // with measurements pending (drain-before-snapshot).
-                return reduce_slots(slots);
-            };
-
-        report.inflight = inflight;
-        arm_checkpointing();
-        report.outcome = driver.run(use_async ? async_fitness : batch_fitness,
-                                    std::move(seeds), rng, hooks);
-        if (slab.has_value()) report.slab = slab->stats();
     }
+    report.outcome = driver.run(use_async ? async_fitness : batch_fitness,
+                                std::move(seeds), rng, hooks);
+    if (slab.has_value()) report.slab = slab->stats();
 
     report.database = std::move(database);
 

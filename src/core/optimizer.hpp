@@ -40,15 +40,18 @@ enum class Objective : std::uint8_t {
 /// toward their minimum, max-limit specs toward their maximum.
 [[nodiscard]] Objective objective_for(const ate::Parameter& parameter) noexcept;
 
-/// Parallel replica evaluation of GA fitness. Each fitness measurement
-/// runs on a cold clone of the DUT (DeviceUnderTest::clone_cold) with a
-/// noise stream forked per individual in submission order, so the hunt
-/// report is byte-identical at any `jobs` count. Off by default: the
-/// classic serial path measures in-situ on the live tester, which keeps
-/// the device's heat/noise history flowing across evaluations.
+/// Replica evaluation of GA fitness. Every fitness measurement runs on a
+/// cold replica of the DUT (DeviceUnderTest::clone_cold, or a warm-slab
+/// lease observably identical to one) with a noise stream forked per
+/// individual in submission order, so the hunt report is byte-identical
+/// at any `jobs` x `inflight` count: both knobs change speed, never
+/// results.
 struct HuntParallelOptions {
+    /// Ignored: replica evaluation is the only fitness engine. Kept only
+    /// so existing callers that still set it compile; slated for removal.
     bool enabled = false;
-    /// Worker threads: 1 = one worker, 0 = one per hardware thread.
+    /// Worker threads: 1 = measure inline on the calling thread (no pool),
+    /// 0 = one per hardware thread.
     std::size_t jobs = 1;
     /// Trip searches kept in flight per fitness batch (> 1 enables the
     /// asynchronous submission/completion pipeline: chromosome decoding,
@@ -171,8 +174,8 @@ struct WorstCaseReport {
     /// `jobs`, never rendered into the report: the byte-identity contract
     /// forbids it.
     std::size_t inflight = 1;
-    /// Warm-slab recycling counters (zeros when the slab was off or the
-    /// hunt ran serial). Never rendered into the report, like `jobs`.
+    /// Warm-slab recycling counters (zeros when the slab was off). Never
+    /// rendered into the report, like `jobs`.
     ReplicaSlabStats slab{};
     /// Resilience-policy activity during the hunt (session + replicas).
     FaultCounters faults{};
@@ -211,7 +214,7 @@ public:
 private:
     /// `shared_pool` is an optional caller-owned worker pool reused for
     /// replica fitness evaluation (the seeding path already scored on
-    /// it); nullptr makes one on demand when parallel mode is enabled.
+    /// it); nullptr makes one on demand unless jobs is 1.
     [[nodiscard]] WorstCaseReport drive(
         ate::Tester& tester, const ate::Parameter& parameter,
         const testgen::RandomGeneratorOptions& generator_options,

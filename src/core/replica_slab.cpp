@@ -1,7 +1,5 @@
 #include "core/replica_slab.hpp"
 
-#include <stdexcept>
-
 #include "ate/async_tester.hpp"
 #include "util/telemetry.hpp"
 
@@ -38,10 +36,6 @@ ReplicaSlab::ReplicaSlab(ate::Tester& source, std::size_t capacity)
         // the same allocation via reset_warm. The placeholder seed never
         // leaks into a measurement (prepare() re-seeds before use).
         slot->dut = source_->dut().clone_cold(1);
-        if (slot->dut == nullptr) {
-            throw std::runtime_error(
-                "ReplicaSlab: DUT does not support clone_cold");
-        }
         cold_clones_.fetch_add(1, std::memory_order_relaxed);
         free_.push_back(slot.get());
         slots_.push_back(std::move(slot));
@@ -58,10 +52,6 @@ void ReplicaSlab::prepare(Slot& slot, std::uint64_t noise_seed,
         // reset_warm unsupported (or a transient slot): fall back to the
         // cold clone the hunt would have made anyway.
         slot.dut = source_->dut().clone_cold(noise_seed);
-        if (slot.dut == nullptr) {
-            throw std::runtime_error(
-                "ReplicaSlab: DUT does not support clone_cold");
-        }
         cold_clones_.fetch_add(1, std::memory_order_relaxed);
         slot.tester.reset();  // the old tester borrowed the old DUT
     }

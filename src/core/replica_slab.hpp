@@ -43,9 +43,7 @@ struct ReplicaSlabStats {
 
 class ReplicaSlab {
 public:
-    /// Pre-clones `capacity` warm replicas of `source`'s DUT. Requires a
-    /// DUT that supports clone_cold (callers gate on that already, like
-    /// the parallel hunt does); throws std::runtime_error otherwise.
+    /// Pre-clones `capacity` warm replicas of `source`'s DUT.
     ReplicaSlab(ate::Tester& source, std::size_t capacity);
 
     ReplicaSlab(const ReplicaSlab&) = delete;

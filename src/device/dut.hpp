@@ -57,13 +57,10 @@ public:
     /// and its own noise stream seeded from `noise_seed`. Semantically a
     /// virtual re-insertion of the same physical die on another site, so
     /// parallel hunts can measure replicas concurrently without sharing
-    /// mutable state. Returns nullptr when the implementation does not
-    /// support replication (callers must fall back to serial measurement).
+    /// mutable state. The worst-case hunt measures every GA fitness
+    /// evaluation on such replicas, so every device must support it.
     [[nodiscard]] virtual std::unique_ptr<DeviceUnderTest> clone_cold(
-        std::uint64_t noise_seed) const {
-        (void)noise_seed;
-        return nullptr;
-    }
+        std::uint64_t noise_seed) const = 0;
 
     /// Re-arms an existing replica in place so it is indistinguishable
     /// from a fresh `clone_cold(noise_seed)` of the same die: the noise

@@ -5,7 +5,7 @@
 //
 // Fitness comes in two shapes: the classic per-individual FitnessFn, and
 // a BatchFitnessFn that receives every unevaluated chromosome of a
-// generation at once. The batch form is what the parallel hunt uses — the
+// generation at once. The batch form is what the worst-case hunt uses — the
 // caller fans the batch out over a thread pool (with per-individual
 // pre-forked RNG streams) and returns fitness values in batch order, so
 // the evolution trajectory is independent of the worker count.

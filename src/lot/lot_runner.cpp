@@ -69,6 +69,9 @@ std::size_t LotResult::finished_sites() const noexcept {
 }
 
 LotRunner::LotRunner(LotOptions options) : options_(std::move(options)) {
+    if (options_.inflight == 0) {
+        throw std::invalid_argument("lot: inflight must be at least 1");
+    }
     if (options_.parameters.empty()) {
         options_.parameters = {ate::Parameter::data_valid_time()};
     }
@@ -76,9 +79,13 @@ LotRunner::LotRunner(LotOptions options) : options_(std::move(options)) {
 
 std::string LotRunner::fingerprint() const {
     // Everything that changes per-site results belongs here; `jobs` and
-    // the checkpoint knobs do not (results are thread-count independent).
+    // the checkpoint knobs do not (results are thread-count independent),
+    // nor do inflight, the slab size, and ring sharing (perf knobs only),
+    // so a checkpoint resumes across all of them. "v2": site hunts
+    // measure on replicas; checkpoints, manifests, and ledgers of lots
+    // whose sites hunted in situ used "lot:" and must not mix with these.
     std::ostringstream out;
-    out << "lot:seed=" << options_.seed << ":sites=" << options_.sites
+    out << "lot:v2:seed=" << options_.seed << ":sites=" << options_.sites
         << ":params=";
     for (const ate::Parameter& parameter : options_.parameters) {
         out << parameter.name << ",";
@@ -86,13 +93,6 @@ std::string LotRunner::fingerprint() const {
     out << ":faults=" << options_.faults.describe()
         << ":policy=" << (options_.policy.enabled ? 1 : 0)
         << ":quarantine=" << options_.policy.quarantine_after;
-    // Replica-mode site hunts measure on clones instead of in situ, which
-    // changes per-site results — but the depth itself (like jobs, the
-    // slab size, and ring sharing) does not, so only the on/off bit is
-    // fingerprinted and checkpoints resume across any inflight >= 1.
-    // Appended conditionally so classic-lot checkpoints keep their
-    // pre-replica fingerprint.
-    if (options_.inflight > 0) out << ":replica=1";
     return out.str();
 }
 
@@ -286,26 +286,22 @@ LotResult LotRunner::run() const {
         }
     }
 
-    // Replica-mode hunts: one lot-wide inflight budget, donated between
-    // sites (shared_ring), or carved into fixed per-site rings (the
-    // ablation configuration). Either way each site's ring stays its own
-    // ordering domain, so results match the single-hunt replica path
-    // byte for byte at any depth.
-    const bool replica_hunts = options_.inflight > 0;
+    // One lot-wide inflight budget, donated between sites (shared_ring),
+    // or carved into fixed per-site rings (the ablation configuration).
+    // Either way each site's ring stays its own ordering domain, so
+    // results match the single-hunt replica path byte for byte at any
+    // depth.
     std::optional<ate::SharedRingCredits> shared_credits;
-    std::size_t site_inflight = 0;
-    if (replica_hunts) {
-        if (options_.shared_ring) {
-            // Every site holds a guaranteed floor of 1; only the depth
-            // beyond the floors is donatable.
-            shared_credits.emplace(options_.inflight > options_.sites
-                                       ? options_.inflight - options_.sites
-                                       : 0);
-            site_inflight = options_.inflight;
-        } else {
-            site_inflight =
-                std::max<std::size_t>(1, options_.inflight / options_.sites);
-        }
+    std::size_t site_inflight = options_.inflight;
+    if (options_.shared_ring) {
+        // Every site holds a guaranteed floor of 1; only the depth beyond
+        // the floors is donatable.
+        shared_credits.emplace(options_.inflight > options_.sites
+                                   ? options_.inflight - options_.sites
+                                   : 0);
+    } else {
+        site_inflight =
+            std::max<std::size_t>(1, options_.inflight / options_.sites);
     }
 
     // Serializes "mark finished + snapshot the finished set" so the
@@ -331,19 +327,15 @@ LotResult LotRunner::run() const {
         if (faults_on) tester.attach_fault_injector(&site_injectors[site]);
 
         core::CharacterizerOptions characterizer = options_.characterizer;
-        if (replica_hunts) {
-            // The site's worker thread owns the hunt ring (one ordering
-            // domain); measurements evaluate inline on it, and emulated
-            // tester latency rides the completion deadlines — overlapped
-            // across sites through the shared budget.
-            characterizer.optimizer.parallel.enabled = true;
-            characterizer.optimizer.parallel.jobs = 1;
-            characterizer.optimizer.parallel.inflight = site_inflight;
-            characterizer.optimizer.parallel.replica_slab =
-                options_.replica_slab;
-            characterizer.optimizer.parallel.shared_credits =
-                shared_credits.has_value() ? &*shared_credits : nullptr;
-        }
+        // The site's worker thread owns the hunt ring (one ordering
+        // domain); measurements evaluate inline on it, and emulated tester
+        // latency rides the completion deadlines — overlapped across sites
+        // through the shared budget.
+        characterizer.optimizer.parallel.jobs = 1;
+        characterizer.optimizer.parallel.inflight = site_inflight;
+        characterizer.optimizer.parallel.replica_slab = options_.replica_slab;
+        characterizer.optimizer.parallel.shared_credits =
+            shared_credits.has_value() ? &*shared_credits : nullptr;
         if (options_.policy.enabled) {
             // Per-site policy seeds, drawn only when the policy is on so
             // a disabled policy leaves the site stream untouched.

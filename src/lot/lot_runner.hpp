@@ -61,26 +61,24 @@ struct LotOptions {
     std::size_t sites = 8;
     /// Worker threads; 0 means one per hardware thread.
     std::size_t jobs = 1;
-    /// Lot-wide trip searches in flight (0 = classic serial in-situ site
-    /// hunts, the pre-replica behavior and the default). >= 1 switches
-    /// every site's worst-case hunt to replica evaluation (1 = blocking
-    /// replicas, > 1 = the async submission/completion pipeline), and
-    /// with `shared_ring` the total depth is pooled lot-wide: each site
-    /// keeps its own ring — its ordering domain — with a guaranteed
-    /// floor of one in-flight search, and borrows from the shared budget
-    /// beyond it, so idle sites donate depth to busy ones. Reports and
-    /// checkpoints are byte-identical at any inflight >= 1 x jobs x
-    /// replica_slab combination (the 0 -> >=1 switch changes the
-    /// measurement discipline and is fingerprinted).
-    std::size_t inflight = 0;
+    /// Lot-wide trip searches in flight (at least 1; 0 is rejected with
+    /// std::invalid_argument). Every site's worst-case hunt measures on
+    /// replicas: 1 = blocking replicas, > 1 = the async
+    /// submission/completion pipeline. With `shared_ring` the total depth
+    /// is pooled lot-wide: each site keeps its own ring — its ordering
+    /// domain — with a guaranteed floor of one in-flight search, and
+    /// borrows from the shared budget beyond it, so idle sites donate
+    /// depth to busy ones. Reports and checkpoints are byte-identical at
+    /// any inflight x jobs x replica_slab combination.
+    std::size_t inflight = 1;
     /// Pool the inflight budget across sites (default). false = each
     /// site owns a fixed private ring of inflight/sites depth — the
     /// pre-sharing configuration, kept for ablation; results are
     /// byte-identical either way.
     bool shared_ring = true;
     /// Warm replica slab per site hunt (see HuntParallelOptions):
-    /// kAutoSlab sizes automatically, 0 forces cold clones. Only
-    /// meaningful with inflight >= 1; never changes results.
+    /// kAutoSlab sizes automatically, 0 forces cold clones. Never
+    /// changes results.
     std::size_t replica_slab = core::HuntParallelOptions::kAutoSlab;
     /// Shard primitive: characterize only sites in
     /// [site_range_begin, site_range_end) and leave the rest pending
@@ -194,6 +192,7 @@ struct LotResult {
 class LotRunner {
 public:
     LotRunner() = default;
+    /// Throws std::invalid_argument when `options.inflight` is 0.
     explicit LotRunner(LotOptions options);
 
     [[nodiscard]] const LotOptions& options() const noexcept {

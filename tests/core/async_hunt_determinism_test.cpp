@@ -52,10 +52,6 @@ OptimizerOptions hunt_options(const HuntConfig& config) {
     opts.ga.stagnation_limit = 4;
     opts.ga.max_restarts = 2;
     opts.ga.migration_interval = 3;
-    // Blocking reference runs use the replica path too (parallel enabled
-    // at inflight 1): the CLI-style serial in-situ hunt is a different
-    // measurement discipline and differs by design.
-    opts.parallel.enabled = true;
     opts.parallel.jobs = config.jobs;
     opts.parallel.inflight = config.inflight;
     opts.parallel.replica_slab = config.replica_slab;

@@ -21,7 +21,7 @@ device::MemoryChipOptions noiseless() {
     return o;
 }
 
-OptimizerOptions hunt_options(bool parallel) {
+OptimizerOptions hunt_options(std::size_t jobs) {
     OptimizerOptions opts;
     opts.ga.population.size = 10;
     opts.ga.populations = 2;
@@ -29,8 +29,7 @@ OptimizerOptions hunt_options(bool parallel) {
     opts.ga.stagnation_limit = 4;
     opts.ga.max_restarts = 2;
     opts.ga.migration_interval = 3;
-    opts.parallel.enabled = parallel;
-    opts.parallel.jobs = 2;
+    opts.parallel.jobs = jobs;
     opts.cache.enabled = true;
     return opts;
 }
@@ -115,7 +114,8 @@ void expect_identical(const HuntLeg& resumed, const HuntLeg& reference) {
 }
 
 TEST(HuntCheckpointTest, SerialKillAndResumeMatchesUninterrupted) {
-    const OptimizerOptions opts = hunt_options(/*parallel=*/false);
+    // jobs 1: replicas measured inline on the calling thread.
+    const OptimizerOptions opts = hunt_options(1);
     const HuntLeg reference = run_leg(opts, false, "", 0);
     EXPECT_FALSE(reference.report.aborted);
     EXPECT_FALSE(reference.last_checkpoint.empty());
@@ -130,7 +130,7 @@ TEST(HuntCheckpointTest, SerialKillAndResumeMatchesUninterrupted) {
 }
 
 TEST(HuntCheckpointTest, ParallelFaultedKillAndResumeMatchesUninterrupted) {
-    const OptimizerOptions opts = hunt_options(/*parallel=*/true);
+    const OptimizerOptions opts = hunt_options(2);
     const HuntLeg reference = run_leg(opts, true, "", 0);
     EXPECT_FALSE(reference.report.aborted);
 
@@ -146,7 +146,7 @@ TEST(HuntCheckpointTest, ParallelFaultedKillAndResumeMatchesUninterrupted) {
 }
 
 TEST(HuntCheckpointTest, AbortedReportIsPartial) {
-    const HuntLeg aborted = run_leg(hunt_options(false), false, "", 2);
+    const HuntLeg aborted = run_leg(hunt_options(1), false, "", 2);
     EXPECT_TRUE(aborted.report.aborted);
     EXPECT_EQ(aborted.report.outcome.generations_run, 2u);
     // The final re-measure is skipped on abort.
@@ -154,7 +154,7 @@ TEST(HuntCheckpointTest, AbortedReportIsPartial) {
 }
 
 TEST(HuntCheckpointTest, ResumeRejectsMismatchedConfiguration) {
-    const OptimizerOptions opts = hunt_options(false);
+    const OptimizerOptions opts = hunt_options(1);
     HuntLeg aborted = run_leg(opts, false, "", 2);
     ASSERT_FALSE(aborted.last_checkpoint.empty());
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ate/fault_injector.hpp"
 #include "core/optimizer.hpp"
 #include "core/report.hpp"
 #include "device/memory_chip.hpp"
@@ -35,7 +36,6 @@ OptimizerOptions parallel_options(std::size_t jobs, bool cache) {
     opts.ga.population.operators.mutation_rate = 0.10;
     opts.ga.population.operators.reset_rate = 0.01;
     opts.ga.population.operators.seed_mutation_rate = 0.05;
-    opts.parallel.enabled = true;
     opts.parallel.jobs = jobs;
     opts.cache.enabled = cache;
     return opts;
@@ -146,39 +146,19 @@ TEST(ParallelHuntTest, WarmSlabMatchesColdClonesAtAnySize) {
     EXPECT_EQ(automatic.report.slab.misses, 0u);
 }
 
-/// A chip that refuses replication: clone_cold returns nullptr (the
-/// DeviceUnderTest default), so every parallel/async/slab configuration
-/// must fall back to the classic serial in-situ hunt (optimizer.cpp's
-/// clone_cold gate). Delegates measurements to a real MemoryTestChip so
-/// the serial hunt itself is unchanged.
-class UnclonableChip : public device::DeviceUnderTest {
-public:
-    UnclonableChip(device::DieParameters die,
-                   device::MemoryChipOptions options)
-        : inner_(die, options) {}
-
-    [[nodiscard]] bool passes(const testgen::Test& test,
-                              device::ParameterKind parameter,
-                              double setting) override {
-        return inner_.passes(test, parameter, setting);
-    }
-    [[nodiscard]] device::FunctionalResult run_functional(
-        const testgen::Test& test) override {
-        return inner_.run_functional(test);
-    }
-    void settle() override { inner_.settle(); }
-
-private:
-    device::MemoryTestChip inner_;
-};
-
-TEST(ParallelHuntTest, UnclonableDutFallsBackToSerialUnderAsyncAndSlab) {
-    const auto run_on = [](device::DeviceUnderTest& chip,
-                           OptimizerOptions opts) {
+TEST(ParallelHuntTest, DefaultOptionsMatchAtJobs1AndJobs4) {
+    // Replica evaluation is the only fitness engine: default options at
+    // jobs 1 (inline, no pool) and jobs 4 must render the same report and
+    // ledger on a noisy die — jobs changes speed, never results.
+    const auto run_at = [](std::size_t jobs) {
+        device::MemoryTestChip chip;
         ate::Tester tester(chip);
         util::Rng rng(2005);
         testgen::RandomGeneratorOptions generator;
-        generator.condition_bounds = testgen::ConditionBounds::fixed_nominal();
+        OptimizerOptions opts;
+        opts.ga.population.size = 10;
+        opts.ga.max_generations = 8;
+        opts.parallel.jobs = jobs;
         const WorstCaseOptimizer optimizer(opts);
         HuntResult result;
         result.report = optimizer.run_unseeded(
@@ -187,34 +167,47 @@ TEST(ParallelHuntTest, UnclonableDutFallsBackToSerialUnderAsyncAndSlab) {
         ReportInputs inputs;
         inputs.seed = 2005;
         inputs.hunt = &result.report;
+        inputs.ledger = &tester.log();
         result.rendered = render_report(inputs);
         result.applications = tester.log().total().applications;
         return result;
     };
+    const HuntResult j1 = run_at(1);
+    const HuntResult j4 = run_at(4);
+    EXPECT_EQ(j1.report.jobs, 1u);
+    EXPECT_EQ(j4.report.jobs, 4u);
+    EXPECT_GT(j1.report.slab.acquires, 0u);  // measured on replicas
+    EXPECT_EQ(j1.rendered, j4.rendered);
+    EXPECT_EQ(j1.applications, j4.applications);
+}
 
-    device::MemoryTestChip serial_chip({}, noiseless());
-    OptimizerOptions serial_opts = parallel_options(1, true);
-    serial_opts.parallel.enabled = false;
-    const HuntResult serial = run_on(serial_chip, serial_opts);
-
-    // --jobs 4 --inflight 16 --replica-slab 8 on an unclonable DUT.
-    UnclonableChip async_chip({}, noiseless());
-    OptimizerOptions async_opts = parallel_options(4, true);
-    async_opts.parallel.inflight = 16;
-    async_opts.parallel.replica_slab = 8;
-    const HuntResult fallback = run_on(async_chip, async_opts);
-    EXPECT_EQ(fallback.report.jobs, 1u);
-    EXPECT_EQ(fallback.report.slab.acquires, 0u);
-    EXPECT_EQ(fallback.rendered, serial.rendered);
-    EXPECT_EQ(fallback.applications, serial.applications);
-
-    // Blocking replica configuration (inflight 1) falls back the same way.
-    UnclonableChip blocking_chip({}, noiseless());
-    OptimizerOptions blocking_opts = parallel_options(4, true);
-    blocking_opts.parallel.replica_slab = 8;
-    const HuntResult blocking = run_on(blocking_chip, blocking_opts);
-    EXPECT_EQ(blocking.report.jobs, 1u);
-    EXPECT_EQ(blocking.rendered, serial.rendered);
+TEST(ParallelHuntTest, DeadReplicaKeepsItsFaultStatsAtAnyJobs) {
+    // A replica that dies ends the hunt; the faults fired up to and
+    // including the dying slot still reach the site's injector, and the
+    // slots a worker measured past it never do, so the stats match at
+    // any jobs count.
+    const auto run_at = [](std::size_t jobs) {
+        device::MemoryTestChip chip({}, noiseless());
+        ate::Tester tester(chip);
+        ate::FaultProfile profile;
+        profile.site_death_rate = 0.002;
+        profile.seed = 5;
+        ate::FaultInjector injector(profile);
+        tester.attach_fault_injector(&injector);
+        util::Rng rng(2005);
+        testgen::RandomGeneratorOptions generator;
+        generator.condition_bounds = testgen::ConditionBounds::fixed_nominal();
+        const WorstCaseOptimizer optimizer(parallel_options(jobs, true));
+        EXPECT_THROW((void)optimizer.run_unseeded(
+                         tester, ate::Parameter::data_valid_time(), generator,
+                         Objective::kDriftToMinimum, rng),
+                     ate::SiteDeadError);
+        return injector.stats();
+    };
+    const ate::InjectionStats j1 = run_at(1);
+    EXPECT_EQ(j1.site_deaths, 1u);
+    EXPECT_GT(j1.measurements, 0u);
+    EXPECT_EQ(j1, run_at(4));
 }
 
 }  // namespace

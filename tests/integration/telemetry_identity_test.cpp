@@ -45,7 +45,6 @@ std::string run_hunt(std::size_t jobs, std::size_t inflight = 1) {
     opts.ga.population.size = 8;
     opts.ga.populations = 2;
     opts.ga.max_generations = 6;
-    opts.parallel.enabled = jobs != 1 || inflight > 1;
     opts.parallel.jobs = jobs;
     opts.parallel.inflight = inflight;
     opts.cache.enabled = true;

@@ -1,13 +1,13 @@
-// Lot-wide replica hunts through the shared measurement ring: switching
-// a lot from classic serial in-situ site hunts (inflight 0) to replica
-// evaluation (inflight >= 1) is fingerprinted, but *within* replica mode
-// every inflight x jobs x slab x ring-sharing configuration must render
-// a byte-identical LotReport and measurement ledger — including a lot
-// killed mid-run and resumed under a different ring depth.
+// Lot-wide replica hunts through the shared measurement ring: every
+// inflight x jobs x slab x ring-sharing configuration must render a
+// byte-identical LotReport and measurement ledger — including a lot
+// killed mid-run and resumed under a different ring depth — and none of
+// those knobs enters the checkpoint fingerprint.
 #include "lot/lot_runner.hpp"
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 
 #include "lot/lot_report.hpp"
@@ -106,31 +106,20 @@ TEST(LotReplicaTest, StopAndGoResumeAcrossRingDepths) {
     EXPECT_EQ(fused.merged_log.report(), reference.ledger);
 }
 
-TEST(LotReplicaTest, FingerprintSeparatesReplicaFromClassicOnly) {
-    // The 0 -> >=1 switch changes the measurement discipline and must be
-    // fingerprinted; depth, slab size, and ring sharing are perf knobs
-    // and must not be (a checkpoint resumes across all of them).
-    const std::string classic = LotRunner(replica_lot(3, 1, 0)).fingerprint();
-    const std::string replica = LotRunner(replica_lot(3, 1, 1)).fingerprint();
-    EXPECT_NE(classic, replica);
-    // Pre-replica checkpoints stay valid: the classic fingerprint does
-    // not mention the replica bit at all.
-    EXPECT_EQ(classic.find("replica"), std::string::npos);
-
+TEST(LotReplicaTest, PerfKnobsStayOutOfTheFingerprint) {
+    // Depth, jobs, slab size, and ring sharing change speed, never
+    // results, so a checkpoint resumes across all of them.
+    const std::string reference =
+        LotRunner(replica_lot(3, 1, 1)).fingerprint();
     LotOptions deep = replica_lot(3, 4, 16);
     deep.replica_slab = 0;
     deep.shared_ring = false;
-    EXPECT_EQ(LotRunner(deep).fingerprint(), replica);
+    EXPECT_EQ(LotRunner(deep).fingerprint(), reference);
+    EXPECT_EQ(reference.find("replica"), std::string::npos);
 }
 
-TEST(LotReplicaTest, ClassicLotDiffersFromReplicaLot) {
-    // inflight 0 keeps the pre-replica serial in-situ discipline; its
-    // results are expected to differ from replica hunts (same contract
-    // as --jobs on a single hunt). This pins the mode switch as a real
-    // discipline change rather than a silent default flip.
-    const LotRun classic = run_lot(replica_lot(2, 1, 0));
-    const LotRun replica = run_lot(replica_lot(2, 1, 1));
-    EXPECT_NE(classic.report, replica.report);
+TEST(LotReplicaTest, ZeroInflightIsRejected) {
+    EXPECT_THROW((void)LotRunner(replica_lot(2, 1, 0)), std::invalid_argument);
 }
 
 }  // namespace

@@ -83,12 +83,21 @@ TEST(LotResilienceTest, FaultedLotRendersHealthAndQuarantineCounters) {
 TEST(LotResilienceTest, DeadSitesDegradeGracefully) {
     // An aggressive death rate kills sites mid-campaign; the lot must
     // still complete and report on whatever survived.
-    LotOptions options = faulted_lot(4, 2);
+    LotOptions options = faulted_lot(4, 4);
     options.faults.site_death_rate = 0.002;
     options.faults.seed = 5;
     const LotResult result = LotRunner(options).run();
+    options.jobs = 1;
+    const LotResult serial = LotRunner(options).run();
 
     ASSERT_TRUE(result.complete());
+    ASSERT_EQ(serial.sites.size(), result.sites.size());
+    for (std::size_t s = 0; s < result.sites.size(); ++s) {
+        // A site that dies on a replica keeps the faults its replicas
+        // fired, and the count does not depend on the thread count.
+        EXPECT_EQ(serial.sites[s].injected, result.sites[s].injected);
+        EXPECT_EQ(serial.sites[s].status, result.sites[s].status);
+    }
     std::size_t dead = 0;
     for (const SiteResult& site : result.sites) {
         if (site.status == SiteStatus::kDead) {

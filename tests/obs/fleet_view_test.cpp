@@ -48,7 +48,11 @@ SiteStatusEntry done_site(std::uint64_t site, double wcr, double trip) {
 }
 
 struct ObsFleetViewTest : ::testing::Test {
-    ObsFleetViewTest() : dir("obs_fleet_test_dir") {
+    // Per-test directory: ctest runs every case as its own process, and a
+    // shared one would be wiped by a sibling's setup mid-run.
+    ObsFleetViewTest()
+        : dir(::testing::TempDir() + "obs_fleet_" +
+              ::testing::UnitTest::GetInstance()->current_test_info()->name()) {
         fs::remove_all(dir);
         fs::create_directories(dir);
     }

@@ -50,7 +50,10 @@ LotArtifacts run_lot(std::size_t jobs, bool with_feed) {
     set_status_enabled(with_feed);
     LotArtifacts artifacts;
     if (with_feed) {
-        const fs::path dir = "obs_identity_feed_dir";
+        // Per-test directory: ctest runs every case as its own process.
+        const fs::path dir =
+            ::testing::TempDir() + "obs_identity_feed_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name();
         fs::remove_all(dir);
         StatusWriterOptions writer_options;
         writer_options.directory = dir.string();
@@ -88,18 +91,17 @@ TEST(ObsIdentityTest, LotReportIsByteIdenticalWithFeedOnParallel) {
     EXPECT_EQ(off.ledger, on.ledger);
 }
 
-core::OptimizerOptions fast_hunt(bool parallel) {
+core::OptimizerOptions fast_hunt(std::size_t jobs) {
     core::OptimizerOptions options;
     options.ga.population.size = 10;
     options.ga.populations = 2;
     options.ga.max_generations = 6;
     options.ga.max_restarts = 1;
-    options.parallel.enabled = parallel;
-    options.parallel.jobs = 4;
+    options.parallel.jobs = jobs;
     return options;
 }
 
-core::WorstCaseReport run_hunt(bool parallel, bool with_feed) {
+core::WorstCaseReport run_hunt(std::size_t jobs, bool with_feed) {
     StatusBoard::instance().reset_for_test();
     set_status_enabled(with_feed);
     device::MemoryChipOptions chip_options;
@@ -108,7 +110,7 @@ core::WorstCaseReport run_hunt(bool parallel, bool with_feed) {
     ate::Tester tester(chip);
     const ate::Parameter param = ate::Parameter::data_valid_time();
     util::Rng rng(2005);
-    core::OptimizerOptions options = fast_hunt(parallel);
+    core::OptimizerOptions options = fast_hunt(jobs);
     if (with_feed) {
         StatusBoard::instance().begin_campaign("hunt", "fp-id", 2005, 1);
         options.on_generation = [](const core::HuntProgress& hunt) {
@@ -145,13 +147,13 @@ void expect_same_hunt(const core::WorstCaseReport& a,
 }
 
 TEST(ObsIdentityTest, HuntIsUnchangedByProgressHookSerial) {
-    expect_same_hunt(run_hunt(/*parallel=*/false, /*with_feed=*/false),
-                     run_hunt(/*parallel=*/false, /*with_feed=*/true));
+    expect_same_hunt(run_hunt(/*jobs=*/1, /*with_feed=*/false),
+                     run_hunt(/*jobs=*/1, /*with_feed=*/true));
 }
 
 TEST(ObsIdentityTest, HuntIsUnchangedByProgressHookParallel) {
-    expect_same_hunt(run_hunt(/*parallel=*/true, /*with_feed=*/false),
-                     run_hunt(/*parallel=*/true, /*with_feed=*/true));
+    expect_same_hunt(run_hunt(/*jobs=*/4, /*with_feed=*/false),
+                     run_hunt(/*jobs=*/4, /*with_feed=*/true));
 }
 
 }  // namespace

@@ -18,7 +18,11 @@ namespace {
 namespace fs = std::filesystem;
 
 struct ObsStatusWriterTest : ::testing::Test {
-    ObsStatusWriterTest() : dir("obs_writer_test_dir") {
+    // Per-test directory: ctest runs every case as its own process, and a
+    // shared one would be wiped by a sibling's setup mid-run.
+    ObsStatusWriterTest()
+        : dir(::testing::TempDir() + "obs_writer_" +
+              ::testing::UnitTest::GetInstance()->current_test_info()->name()) {
         fs::remove_all(dir);
         StatusBoard::instance().reset_for_test();
         set_status_enabled(true);

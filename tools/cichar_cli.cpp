@@ -7,7 +7,7 @@
 //               [--cache on|off] [--cache-file FILE] [--db FILE]
 //               [--model FILE]
 //       full Fig.4 + Fig.5 worst-case hunt; optionally persist artifacts.
-//       --jobs J != 1 trains the committee and measures GA fitness on J
+//       --jobs J trains the committee and measures GA fitness on J
 //       worker threads (replica evaluation, byte-identical at any J);
 //       --inflight D > 1 pipelines D trip searches through the async
 //       submission/completion queue, overlapping decode + scoring with
@@ -26,10 +26,10 @@
 //              [--report FILE]
 //       multi-site lot characterization: full campaign per sampled die,
 //       sites run in parallel, lot-level aggregation + fused spec;
-//       --inflight D > 0 runs every site hunt on warm replicas and pools
-//       the in-flight budget lot-wide through one shared measurement
+//       --inflight D (>= 1, default 1) pools the in-flight budget of the
+//       sites' replica hunts lot-wide through one shared measurement
 //       ring (idle sites donate depth to busy ones; byte-identical at
-//       any D >= 1 x jobs x slab size)
+//       any D x jobs x slab size)
 //   cichar pattern --march NAME --out FILE | --info FILE
 //       export deterministic patterns as ATE vector files / inspect one
 #include <atomic>
@@ -110,10 +110,10 @@ int usage() {
         "             [--shards N [--shard-dir DIR] [--max-attempts N]\n"
         "              [--heartbeat-timeout S] [--max-parallel N]\n"
         "              [--kill-shard K]]\n"
-        "      --inflight D pools D lot-wide in-flight trip searches\n"
-        "      across sites (replica hunts, byte-identical at any D >= 1;\n"
-        "      0 = classic serial in-situ hunts); --shared-ring off gives\n"
-        "      each site a private ring instead (ablation);\n"
+        "      --inflight D (>= 1, default 1) pools D lot-wide in-flight\n"
+        "      trip searches across sites (byte-identical at any D);\n"
+        "      --shared-ring off gives each site a private ring instead\n"
+        "      (ablation);\n"
         "      --replica-slab sizes the per-hunt warm replica pool.\n"
         "      --site-range A:B characterizes only sites [A, B) (a shard\n"
         "      worker; persist with --checkpoint, fuse with merge).\n"
@@ -399,21 +399,18 @@ int cmd_hunt(const Args& args) {
         static_cast<std::size_t>(args.get_u64("populations", 4));
 
     // --jobs J: parallel committee training, candidate scoring, and
-    // replica fitness evaluation. J != 1 switches the hunt to replica
-    // evaluation (byte-identical at any J); J == 1 keeps the classic
-    // in-situ serial path.
+    // replica fitness evaluation (J == 1 measures inline on the calling
+    // thread).
     const auto jobs = static_cast<std::size_t>(args.get_u64("jobs", 1));
     options.learner.committee.jobs = jobs;
-    options.optimizer.parallel.enabled = jobs != 1;
     options.optimizer.parallel.jobs = jobs;
     // --inflight D: trip searches kept in flight per fitness batch. D > 1
     // switches replica evaluation to the async submission/completion
-    // queue (implying replica evaluation even at --jobs 1); reports,
-    // checkpoints, and caches stay byte-identical at any jobs x inflight
-    // combination, so a checkpoint resumes across --inflight values.
-    const auto inflight = static_cast<std::size_t>(args.get_u64("inflight", 1));
-    options.optimizer.parallel.inflight = inflight;
-    if (inflight > 1) options.optimizer.parallel.enabled = true;
+    // queue. Reports, checkpoints, and caches stay byte-identical at any
+    // jobs x inflight combination, so neither enters the fingerprint and
+    // a checkpoint resumes across both.
+    options.optimizer.parallel.inflight =
+        static_cast<std::size_t>(args.get_u64("inflight", 1));
     // --replica-slab N: warm replica pool for the parallel hunt ("auto"
     // sizes it jobs x inflight; 0 forces a cold clone per fitness slot).
     // Pure throughput knob — results, checkpoints, and caches are
@@ -455,7 +452,6 @@ int cmd_hunt(const Args& args) {
     fp << "hunt:seed=" << seed << ":coding=" << args.get("coding", "fuzzy")
        << ":generations=" << options.optimizer.ga.max_generations
        << ":populations=" << options.optimizer.ga.populations
-       << ":parallel=" << (options.optimizer.parallel.enabled ? 1 : 0)
        << ":cache=" << (options.optimizer.cache.enabled ? 1 : 0)
        << ":faults=" << profile->describe()
        << ":policy=" << (policy_on ? 1 : 0);
@@ -799,10 +795,8 @@ int cmd_campaign(const Args& args) {
 struct LotConfig {
     std::size_t sites = 8;
     std::size_t jobs = 1;
-    /// Lot-wide in-flight trip searches (0 = classic serial in-situ site
-    /// hunts). Shapes the fingerprint on/off, so shard workers must
-    /// receive it verbatim.
-    std::size_t inflight = 0;
+    /// Lot-wide in-flight trip searches (>= 1; a perf knob only).
+    std::size_t inflight = 1;
     bool shared_ring = true;
     std::size_t replica_slab = core::HuntParallelOptions::kAutoSlab;
     std::uint64_t seed = 2005;
@@ -819,7 +813,7 @@ LotConfig lot_config_from_args(const Args& args,
     LotConfig config;
     config.sites = static_cast<std::size_t>(args.get_u64("sites", 8));
     config.jobs = static_cast<std::size_t>(args.get_u64("jobs", 1));
-    config.inflight = static_cast<std::size_t>(args.get_u64("inflight", 0));
+    config.inflight = static_cast<std::size_t>(args.get_u64("inflight", 1));
     config.shared_ring = args.get("shared-ring", "on") != "off";
     if (args.has("replica-slab") && args.get("replica-slab") != "auto") {
         config.replica_slab =
@@ -866,8 +860,9 @@ lot::LotOptions make_lot_options(const LotConfig& config) {
 }
 
 /// The worker argv tail after "lot": every knob that shapes the lot
-/// fingerprint (plus jobs, which does not). The scheduler appends the
-/// per-shard --site-range/--checkpoint/--heartbeat/--resume itself.
+/// fingerprint, plus the perf knobs (jobs, inflight, ring, slab). The
+/// scheduler appends the per-shard --site-range/--checkpoint/--heartbeat/
+/// --resume itself.
 std::vector<std::string> worker_args_for(const LotConfig& config) {
     std::vector<std::string> argv = {
         "--sites",       std::to_string(config.sites),
@@ -1004,6 +999,10 @@ int cmd_lot(const Args& args, const std::string& argv0) {
     const std::optional<ate::FaultProfile> profile = fault_profile_arg(args);
     if (!profile) return 2;
     const LotConfig config = lot_config_from_args(args, *profile);
+    if (config.inflight == 0) {
+        std::fprintf(stderr, "--inflight must be at least 1\n");
+        return 2;
+    }
 
     // --shards N: hand the lot to the multi-process shard scheduler.
     if (args.has("shards")) {
