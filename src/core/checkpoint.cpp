@@ -1,58 +1,54 @@
 #include "core/checkpoint.hpp"
 
 #include <exception>
+#include <utility>
 
 #include "util/binio.hpp"
 #include "util/crash_point.hpp"
 
 namespace cichar::core {
+namespace {
+
+/// Splits an intact envelope into fingerprint and state blob.
+std::optional<std::pair<std::string, std::string_view>> open_checkpoint(
+    std::string_view contents) {
+    const std::optional<std::string_view> sealed =
+        util::unseal(kCheckpointMagic, contents);
+    if (!sealed) return std::nullopt;
+    try {
+        util::ByteReader in(*sealed);
+        std::string fingerprint = in.get_string();
+        return std::pair{std::move(fingerprint), sealed->substr(in.position())};
+    } catch (const std::exception&) {
+        return std::nullopt;  // fingerprint length runs past the payload
+    }
+}
+
+}  // namespace
 
 std::string encode_checkpoint(std::string_view fingerprint,
                               std::string_view payload) {
-    std::string out;
-    out.reserve(kCheckpointMagic.size() + fingerprint.size() +
-                payload.size() + 32);
-    out.append(kCheckpointMagic);
-    util::put_string(out, std::string(fingerprint));
-    util::put_string(out, std::string(payload));
-    util::put_u64(out, util::checksum64(payload));
-    return out;
+    std::string sealed;
+    sealed.reserve(fingerprint.size() + payload.size() + 8);
+    util::put_string(sealed, fingerprint);
+    sealed.append(payload);
+    return util::seal(kCheckpointMagic, sealed);
 }
 
 bool decode_checkpoint(std::string_view contents,
                        std::string_view expected_fingerprint,
                        std::string& payload_out) {
-    if (contents.size() < kCheckpointMagic.size() ||
-        contents.substr(0, kCheckpointMagic.size()) != kCheckpointMagic) {
-        return false;
-    }
-    try {
-        util::ByteReader in(contents.substr(kCheckpointMagic.size()));
-        const std::string fingerprint = in.get_string();
-        if (fingerprint != expected_fingerprint) return false;
-        std::string payload = in.get_string(1ULL << 30);
-        const std::uint64_t checksum = in.get_u64();
-        if (!in.at_end()) return false;  // trailing garbage
-        if (checksum != util::checksum64(payload)) return false;
-        payload_out = std::move(payload);
-        return true;
-    } catch (const std::exception&) {
-        return false;  // truncated / corrupt envelope
-    }
+    const auto opened = open_checkpoint(contents);
+    if (!opened || opened->first != expected_fingerprint) return false;
+    payload_out = opened->second;
+    return true;
 }
 
 std::optional<std::string> peek_checkpoint_fingerprint(
     std::string_view contents) {
-    if (contents.size() < kCheckpointMagic.size() ||
-        contents.substr(0, kCheckpointMagic.size()) != kCheckpointMagic) {
-        return std::nullopt;
-    }
-    try {
-        util::ByteReader in(contents.substr(kCheckpointMagic.size()));
-        return in.get_string();
-    } catch (const std::exception&) {
-        return std::nullopt;
-    }
+    auto opened = open_checkpoint(contents);
+    if (!opened) return std::nullopt;
+    return std::move(opened->first);
 }
 
 bool write_checkpoint_file(const std::string& path,

@@ -1,14 +1,16 @@
 // Crash-safe checkpoint container. A checkpoint file wraps an opaque
-// payload (the hunt or lot state blob) in a versioned envelope:
+// state blob (the hunt or lot payload) in the sealed envelope of
+// util/binio:
 //
-//   magic "CICHKPT1" | fingerprint string | payload | checksum64
+//   magic "CICHKPT2" | fingerprint:string | state blob | checksum64
 //
-// The fingerprint ties a checkpoint to the run configuration that wrote
-// it (parameter name, seed, fault profile, ...): resuming with a
-// different configuration is refused instead of silently producing a
-// mixed-state run. Decoding NEVER throws and never partially applies —
-// any truncation, bit flip, or mismatch yields "no checkpoint" and the
-// caller starts cold.
+// The checksum covers the fingerprint as well as the blob. The
+// fingerprint ties a checkpoint to the run configuration that wrote it
+// (parameter name, seed, fault profile, ...): resuming with a different
+// configuration is refused instead of silently producing a mixed-state
+// run. Decoding NEVER throws and never partially applies — any
+// truncation, bit flip, or mismatch yields "no checkpoint" and the
+// caller starts cold. Version-1 ("CICHKPT1") files fail the magic check.
 #pragma once
 
 #include <optional>
@@ -17,7 +19,7 @@
 
 namespace cichar::core {
 
-inline constexpr std::string_view kCheckpointMagic = "CICHKPT1";
+inline constexpr std::string_view kCheckpointMagic = "CICHKPT2";
 
 /// Wraps `payload` into the envelope.
 [[nodiscard]] std::string encode_checkpoint(std::string_view fingerprint,
@@ -30,10 +32,10 @@ inline constexpr std::string_view kCheckpointMagic = "CICHKPT1";
                                      std::string_view expected_fingerprint,
                                      std::string& payload_out);
 
-/// Reads the fingerprint out of an envelope without validating the
-/// payload (`cichar merge` groups shard blobs by the lot configuration
-/// that wrote them before it insists they all agree). nullopt when the
-/// magic is wrong or the header is truncated. Never throws.
+/// Reads the fingerprint out of a sealed checkpoint without matching it
+/// against a configuration (`cichar merge` groups shard blobs by the lot
+/// configuration that wrote them before it insists they all agree).
+/// nullopt when the envelope is not intact. Never throws.
 [[nodiscard]] std::optional<std::string> peek_checkpoint_fingerprint(
     std::string_view contents);
 

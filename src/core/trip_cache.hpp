@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <list>
 #include <optional>
 #include <string>
@@ -88,26 +87,26 @@ public:
 
     /// Serializes every entry (least-recently-used first, so a load
     /// re-inserts them back into the same recency order) plus the given
-    /// device/process identity string into a versioned binary stream.
-    /// Doubles are stored as bit patterns, so a round trip is bit-exact.
-    /// Returns stream success.
-    bool save(std::ostream& out, std::string_view identity) const;
+    /// device/process identity string into a sealed CICHTPC2 file image
+    /// (util::seal). Doubles are stored as bit patterns, so a round trip
+    /// is bit-exact.
+    [[nodiscard]] std::string save(std::string_view identity) const;
 
-    /// Replaces the contents from a stream produced by save(). Returns
-    /// false — leaving the cache untouched — when the magic/version or
-    /// the identity string does not match, or the stream is truncated or
-    /// corrupt. Hit/miss/eviction counters are not restored: stats always
-    /// describe the current run. When the stream holds more entries than
+    /// Replaces the contents from bytes produced by save(). Returns
+    /// false — leaving the cache untouched — when the envelope is not
+    /// intact (magic/version, truncation, checksum), the identity string
+    /// does not match, or the payload is malformed. Never throws.
+    /// Hit/miss/eviction counters are not restored: stats always
+    /// describe the current run. When the bytes hold more entries than
     /// `capacity()`, only the most recent ones are kept.
-    bool load(std::istream& in, std::string_view identity);
+    bool load(std::string_view bytes, std::string_view identity);
 
-    /// Reads the device identity string out of a saved cache stream
-    /// without loading it (used by `cichar merge --caches` to group
-    /// shard caches before fusing). nullopt when the magic is wrong or
-    /// the header is truncated; the checksum is NOT verified here — a
-    /// subsequent load() still rejects corruption.
+    /// Reads the device identity string out of a saved cache without
+    /// loading its entries (used by `cichar merge --caches` to group
+    /// shard caches before fusing). nullopt when the envelope is not
+    /// intact. Never throws.
     [[nodiscard]] static std::optional<std::string> peek_identity(
-        std::istream& in);
+        std::string_view bytes);
 
     /// Folds another cache's entries into this one, least-recently-used
     /// first, so `other`'s recency order lands on top of ours. Keys we

@@ -69,32 +69,21 @@ std::string ShardManifest::encode() const {
         util::put_u64(payload, shard.attempts);
         util::put_u64(payload, static_cast<std::uint64_t>(shard.state));
     }
-    std::string out;
-    out.reserve(kShardManifestMagic.size() + payload.size() + 16);
-    out.append(kShardManifestMagic);
-    util::put_string(out, payload);
-    util::put_u64(out, util::checksum64(payload));
-    return out;
+    return util::seal(kShardManifestMagic, payload);
 }
 
 std::optional<ShardManifest> ShardManifest::decode(std::string_view contents) {
-    if (contents.size() < kShardManifestMagic.size() ||
-        contents.substr(0, kShardManifestMagic.size()) != kShardManifestMagic) {
-        return std::nullopt;
-    }
+    const std::optional<std::string_view> payload =
+        util::unseal(kShardManifestMagic, contents);
+    if (!payload) return std::nullopt;
     try {
-        util::ByteReader outer(contents.substr(kShardManifestMagic.size()));
-        const std::string payload = outer.get_string(1ULL << 30);
-        const std::uint64_t checksum = outer.get_u64();
-        if (!outer.at_end()) return std::nullopt;
-        if (checksum != util::checksum64(payload)) return std::nullopt;
-
-        util::ByteReader in(payload);
+        util::ByteReader in(*payload);
         if (in.get_u32() != kShardManifestVersion) return std::nullopt;
         ShardManifest manifest;
         manifest.lot_fingerprint = in.get_string();
         manifest.sites = static_cast<std::size_t>(in.get_u64());
-        const std::uint64_t count = in.get_u64();
+        // A shard entry is at least 7 u64 words (its strings may be empty).
+        const std::uint64_t count = in.get_count(7 * 8);
         if (count > manifest.sites) return std::nullopt;
         manifest.shards.reserve(static_cast<std::size_t>(count));
         for (std::uint64_t k = 0; k < count; ++k) {

@@ -1,8 +1,8 @@
 // Versioned, checksummed shard manifest — the scheduler's durable record
 // of how a lot was partitioned and how far each shard has come. The
-// on-disk envelope follows the core/checkpoint idiom:
+// file is the sealed envelope of util/binio:
 //
-//   magic "CISHMAN1" | payload | checksum64
+//   magic "CISHMAN2" | payload | checksum64(payload)
 //
 // with the lot fingerprint inside the payload, so a manifest written for
 // a different lot configuration (or a torn/bit-flipped file) is refused
@@ -19,8 +19,8 @@
 
 namespace cichar::dist {
 
-inline constexpr std::string_view kShardManifestMagic = "CISHMAN1";
-inline constexpr std::uint32_t kShardManifestVersion = 1;
+inline constexpr std::string_view kShardManifestMagic = "CISHMAN2";
+inline constexpr std::uint32_t kShardManifestVersion = 2;
 
 /// Lifecycle of one shard, persisted so a restarted coordinator (and CI
 /// artifact readers) can see exactly where every shard stood.
@@ -66,7 +66,7 @@ struct ShardManifest {
         std::string lot_fingerprint, std::size_t sites,
         std::size_t shard_count, const std::string& work_dir);
 
-    /// Envelope + payload + checksum, byte-stable for identical state.
+    /// Sealed payload, byte-stable for identical state.
     [[nodiscard]] std::string encode() const;
 
     /// Inverse of encode(). nullopt on bad magic, unsupported version,

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -38,19 +36,17 @@ std::string merge_shard_checkpoints(const std::vector<std::string>& blobs,
         if (!blob_fingerprint) {
             throw std::runtime_error(
                 "merge: " + shard_name +
-                " is not a cichar checkpoint (bad magic or truncated)");
+                " is not an intact cichar checkpoint (bad magic, truncated, "
+                "or corrupt)");
         }
         if (fingerprint.empty()) fingerprint = *blob_fingerprint;
-        if (*blob_fingerprint != fingerprint) {
+        // The envelope is intact, so decode fails only on a mismatch.
+        std::string payload;
+        if (!core::decode_checkpoint(blobs[b], fingerprint, payload)) {
             throw std::runtime_error(
                 "merge: " + shard_name +
                 " was written by a different lot configuration\n  expected: " +
                 fingerprint + "\n  found:    " + *blob_fingerprint);
-        }
-        std::string payload;
-        if (!core::decode_checkpoint(blobs[b], fingerprint, payload)) {
-            throw std::runtime_error("merge: " + shard_name +
-                                     " failed its checksum (corrupt blob)");
         }
         const std::vector<lot::SiteResult> sites =
             lot::decode_finished_sites(payload);
@@ -106,15 +102,17 @@ std::string merge_trip_cache_files(const std::vector<std::string>& in_paths,
     caches.reserve(in_paths.size());
     std::size_t total_entries = 0;
     for (const std::string& path : in_paths) {
-        std::ifstream peek(path, std::ios::binary);
-        if (!peek) {
+        const std::optional<std::string> bytes = util::read_file(path);
+        if (!bytes) {
             throw std::runtime_error("merge: cannot read " + path);
         }
         const std::optional<std::string> file_identity =
-            core::TripPointCache::peek_identity(peek);
+            core::TripPointCache::peek_identity(*bytes);
         if (!file_identity) {
-            throw std::runtime_error("merge: " + path +
-                                     " is not a cichar trip cache");
+            throw std::runtime_error(
+                "merge: " + path +
+                " is not an intact cichar trip cache (bad magic, truncated, "
+                "or corrupt)");
         }
         if (identity.empty()) identity = *file_identity;
         if (*file_identity != identity) {
@@ -123,11 +121,10 @@ std::string merge_trip_cache_files(const std::vector<std::string>& in_paths,
                 " holds a different device identity\n  expected: " + identity +
                 "\n  found:    " + *file_identity);
         }
-        std::ifstream in(path, std::ios::binary);
         core::TripPointCache cache(1u << 20);
-        if (!cache.load(in, identity)) {
+        if (!cache.load(*bytes, identity)) {
             throw std::runtime_error("merge: " + path +
-                                     " failed its checksum (corrupt cache)");
+                                     " has a malformed entry list");
         }
         total_entries += cache.size();
         caches.push_back(std::move(cache));
@@ -137,11 +134,7 @@ std::string merge_trip_cache_files(const std::vector<std::string>& in_paths,
     for (const core::TripPointCache& cache : caches) {
         merged.merge_from(cache);
     }
-    std::ostringstream body;
-    if (!merged.save(body, identity)) {
-        throw std::runtime_error("merge: cannot serialize merged cache");
-    }
-    if (!util::atomic_write_file(out_path, body.str())) {
+    if (!util::atomic_write_file(out_path, merged.save(identity))) {
         throw std::runtime_error("merge: cannot write " + out_path);
     }
     return identity;

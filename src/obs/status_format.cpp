@@ -138,28 +138,15 @@ std::string encode_status(const StatusSnapshot& snapshot) {
     for (const double seconds : snapshot.completed_seconds) {
         util::put_double(payload, seconds);
     }
-
-    std::string out;
-    out.reserve(kStatusMagic.size() + payload.size() + 8);
-    out.append(kStatusMagic);
-    out.append(payload);
-    util::put_u64(out, util::checksum64(payload));
-    return out;
+    return util::seal(kStatusMagic, payload);
 }
 
 std::optional<StatusSnapshot> decode_status(std::string_view contents) {
-    if (contents.size() < kStatusMagic.size() + 8 ||
-        contents.substr(0, kStatusMagic.size()) != kStatusMagic) {
-        return std::nullopt;
-    }
-    const std::string_view payload = contents.substr(
-        kStatusMagic.size(), contents.size() - kStatusMagic.size() - 8);
-    {
-        util::ByteReader tail(contents.substr(contents.size() - 8));
-        if (tail.get_u64() != util::checksum64(payload)) return std::nullopt;
-    }
+    const std::optional<std::string_view> payload =
+        util::unseal(kStatusMagic, contents);
+    if (!payload) return std::nullopt;
     try {
-        util::ByteReader in(payload);
+        util::ByteReader in(*payload);
         if (in.get_u32() != kStatusVersion) return std::nullopt;
         StatusSnapshot snapshot;
         snapshot.kind = in.get_string(kMaxStrings);

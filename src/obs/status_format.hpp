@@ -3,7 +3,7 @@
 // snapshot file on a wall-clock interval via temp-file + rename, so a
 // reader (cichar status / cichar top, a dashboard poller) either sees
 // the previous complete snapshot or the new complete snapshot — never a
-// torn one. The envelope follows the core/checkpoint idiom:
+// torn one. The file is the sealed envelope of util/binio:
 //
 //   magic "CISTAT1\n" | payload | u64 checksum64(payload)
 //

@@ -127,6 +127,16 @@ Rng ByteReader::get_rng() {
     return rng;
 }
 
+std::uint64_t ByteReader::get_count(std::size_t min_item_bytes) {
+    const std::uint64_t count = get_u64();
+    if (count > remaining() / std::max<std::size_t>(min_item_bytes, 1)) {
+        throw std::runtime_error("binio: count " + std::to_string(count) +
+                                 " exceeds the " +
+                                 std::to_string(remaining()) + " bytes left");
+    }
+    return count;
+}
+
 void ByteReader::skip(std::size_t count) {
     (void)take(count);
 }
@@ -138,6 +148,29 @@ std::uint64_t checksum64(std::string_view data) noexcept {
         hash *= 0x00000100000001B3ULL;  // FNV-1a prime
     }
     return hash;
+}
+
+std::string seal(std::string_view magic, std::string_view payload) {
+    std::string out;
+    out.reserve(magic.size() + payload.size() + 8);
+    out.append(magic);
+    out.append(payload);
+    put_u64(out, checksum64(payload));
+    return out;
+}
+
+std::optional<std::string_view> unseal(std::string_view magic,
+                                       std::string_view bytes) noexcept {
+    if (bytes.size() < magic.size() + 8 ||
+        bytes.substr(0, magic.size()) != magic) {
+        return std::nullopt;
+    }
+    const std::string_view payload =
+        bytes.substr(magic.size(), bytes.size() - magic.size() - 8);
+    // Exactly 8 bytes remain, so this read cannot throw.
+    ByteReader checksum(bytes.substr(bytes.size() - 8));
+    if (checksum.get_u64() != checksum64(payload)) return std::nullopt;
+    return payload;
 }
 
 namespace {

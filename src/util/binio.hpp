@@ -1,9 +1,12 @@
 // Little-endian binary serialization helpers shared by every on-disk
-// artifact (trip cache, hunt/lot checkpoints). Writers append to a byte
-// buffer; readers walk a cursor and throw on truncation, so a corrupt
-// file surfaces as one catchable error instead of silently loading
-// garbage. atomic_write_file() gives crash-safe persistence: a killed
-// process can leave a stale temp file behind, never a torn target.
+// artifact (trip cache, hunt/lot checkpoints, shard manifest, status
+// snapshot, ledger records). Writers append to a byte buffer; readers
+// walk a cursor and throw on truncation, so a corrupt file surfaces as
+// one catchable error instead of silently loading garbage. seal() and
+// unseal() are the one whole-file envelope every binary artifact uses
+// (docs/FORMATS.md, "Sealed envelope"). atomic_write_file() gives
+// crash-safe persistence: a killed process can leave a stale temp file
+// behind, never a torn target.
 #pragma once
 
 #include <cstdint>
@@ -43,6 +46,11 @@ public:
         std::uint64_t max_length = kMaxSerializedString);
     [[nodiscard]] Rng get_rng();
 
+    /// Reads a u64 element count and throws unless `count` elements of
+    /// at least `min_item_bytes` each fit in the bytes left, so a forged
+    /// count is refused before anything is allocated for it.
+    [[nodiscard]] std::uint64_t get_count(std::size_t min_item_bytes);
+
     /// Skips `count` raw bytes (throws past the end).
     void skip(std::size_t count);
 
@@ -62,6 +70,17 @@ private:
 /// 64-bit FNV-1a over the bytes. Detects truncation and bit flips in
 /// persisted blobs; not cryptographic.
 [[nodiscard]] std::uint64_t checksum64(std::string_view data) noexcept;
+
+/// Sealed whole-file envelope: `magic | payload | u64 checksum64(payload)`.
+/// The magic names the format and its version.
+[[nodiscard]] std::string seal(std::string_view magic,
+                               std::string_view payload);
+
+/// Inverse of seal(): a view of the payload inside `bytes`, or nullopt
+/// when `bytes` is shorter than an empty envelope, starts with another
+/// magic, or fails its checksum. Never throws.
+[[nodiscard]] std::optional<std::string_view> unseal(
+    std::string_view magic, std::string_view bytes) noexcept;
 
 // ---------------------------------------------------------------------
 // Write-fault injection. Durability code (atomic_write_file, the store

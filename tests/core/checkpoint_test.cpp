@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <string>
 
+#include "util/binio.hpp"
+
 namespace cichar::core {
 namespace {
 
@@ -23,33 +25,48 @@ TEST(CheckpointTest, RejectsWrongFingerprint) {
     EXPECT_EQ(out, "untouched");
 }
 
-TEST(CheckpointTest, RejectsCorruptionAnywhere) {
+// The decoder goes through the sealed envelope (the exhaustive prefix
+// and bit-flip sweeps live in BinioSealTest): a flipped state byte, a
+// cut byte, or an appended byte is refused, never a wrong payload.
+TEST(CheckpointTest, RejectsFlippedCutOrPaddedEnvelope) {
     const std::string blob =
         encode_checkpoint("fp", std::string(256, 'x') + "payload tail");
-    // Flip one bit at every byte position; decode must refuse (or, for
-    // flips inside the fingerprint-length prefix that keep it parseable,
-    // simply mismatch) — and never crash or return wrong payload.
-    for (std::size_t i = 0; i < blob.size(); ++i) {
-        std::string mutated = blob;
-        mutated[i] = static_cast<char>(mutated[i] ^ 0x20);
-        std::string out;
-        if (decode_checkpoint(mutated, "fp", out)) {
-            // The only acceptable "success" is a flip that did not change
-            // the decoded payload (impossible: checksum covers payload,
-            // envelope covers fingerprint) — so reaching here is a bug.
-            ADD_FAILURE() << "corrupt blob accepted at byte " << i;
-        }
+    std::string flipped = blob;
+    flipped[blob.size() - 20] ^= 0x20;
+    for (const std::string& corrupt :
+         {flipped, blob.substr(0, blob.size() - 1), blob + '\0'}) {
+        std::string out = "untouched";
+        EXPECT_FALSE(decode_checkpoint(corrupt, "fp", out));
+        EXPECT_EQ(out, "untouched");
+        EXPECT_FALSE(peek_checkpoint_fingerprint(corrupt).has_value());
     }
 }
 
-TEST(CheckpointTest, RejectsTruncationAtEveryLength) {
-    const std::string blob = encode_checkpoint("fp", "some payload");
-    for (std::size_t len = 0; len < blob.size(); ++len) {
-        std::string out;
-        EXPECT_FALSE(
-            decode_checkpoint(std::string_view(blob).substr(0, len), "fp", out))
-            << "truncated blob accepted at length " << len;
-    }
+// The checksum covers the fingerprint: rewriting it in place (here
+// seed 7 -> 6) no longer yields a checkpoint of another configuration.
+TEST(CheckpointTest, RejectsAlteredFingerprint) {
+    std::string blob = encode_checkpoint("hunt:seed=7", "state");
+    ASSERT_EQ(peek_checkpoint_fingerprint(blob), "hunt:seed=7");
+    const std::size_t seven = blob.find("seed=7") + 5;
+    ASSERT_LT(seven, blob.size());
+    blob[seven] = '6';
+    std::string out = "untouched";
+    EXPECT_FALSE(decode_checkpoint(blob, "hunt:seed=6", out));
+    EXPECT_FALSE(decode_checkpoint(blob, "hunt:seed=7", out));
+    EXPECT_EQ(out, "untouched");
+    EXPECT_FALSE(peek_checkpoint_fingerprint(blob).has_value());
+}
+
+// A version-1 file (checksum over the payload only) fails the magic
+// check: the caller starts cold.
+TEST(CheckpointTest, RejectsVersionOneEnvelope) {
+    std::string v1 = "CICHKPT1";
+    util::put_string(v1, "fp");
+    util::put_string(v1, "payload");
+    util::put_u64(v1, util::checksum64("payload"));
+    std::string out;
+    EXPECT_FALSE(decode_checkpoint(v1, "fp", out));
+    EXPECT_FALSE(peek_checkpoint_fingerprint(v1).has_value());
 }
 
 TEST(CheckpointTest, FileRoundTripAndMissingFile) {

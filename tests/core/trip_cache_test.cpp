@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <string>
+
+#include "util/binio.hpp"
 
 namespace cichar::core {
 namespace {
@@ -137,11 +139,11 @@ TEST(TripCachePersistTest, SaveLoadRoundTripIsBitExact) {
     cache.insert(a, make_record(25.0));
     cache.insert(b, rb);
 
-    std::stringstream stream;
-    ASSERT_TRUE(cache.save(stream, "die-7/tdq"));
+    const std::string bytes = cache.save("die-7/tdq");
+    EXPECT_EQ(TripPointCache::peek_identity(bytes), "die-7/tdq");
 
     TripPointCache loaded(8);
-    ASSERT_TRUE(loaded.load(stream, "die-7/tdq"));
+    ASSERT_TRUE(loaded.load(bytes, "die-7/tdq"));
     EXPECT_EQ(loaded.size(), 2u);
 
     const TripPointRecord* hit_a = loaded.lookup(a);
@@ -166,10 +168,8 @@ TEST(TripCachePersistTest, LoadPreservesRecencyOrder) {
     cache.insert(a, make_record(1.0));
     cache.insert(b, make_record(2.0));  // b most recent, a is LRU
 
-    std::stringstream stream;
-    ASSERT_TRUE(cache.save(stream, "id"));
     TripPointCache loaded(2);
-    ASSERT_TRUE(loaded.load(stream, "id"));
+    ASSERT_TRUE(loaded.load(cache.save("id"), "id"));
 
     // Inserting a third entry must evict `a` (the LRU), proving the
     // recency order survived the round trip.
@@ -183,32 +183,39 @@ TEST(TripCachePersistTest, LoadPreservesRecencyOrder) {
 TEST(TripCachePersistTest, IdentityMismatchRejectedAndCacheUntouched) {
     TripPointCache source(4);
     source.insert(make_key(), make_record(1.0));
-    std::stringstream stream;
-    ASSERT_TRUE(source.save(stream, "lot-A"));
+    const std::string bytes = source.save("lot-A");
 
     TripPointCache target(4);
     TripCacheKey existing = make_key();
     existing.recipe.cycles = 900;
     target.insert(existing, make_record(9.0));
-    EXPECT_FALSE(target.load(stream, "lot-B"));
+    EXPECT_FALSE(target.load(bytes, "lot-B"));
     EXPECT_EQ(target.size(), 1u);  // untouched
     EXPECT_NE(target.lookup(existing), nullptr);
 }
 
+// The loader goes through the sealed envelope (the exhaustive prefix and
+// bit-flip sweeps live in BinioSealTest): a flipped payload byte, a cut
+// byte, or a foreign magic is refused and the live cache keeps its entry.
 TEST(TripCachePersistTest, CorruptOrTruncatedStreamRejected) {
     TripPointCache cache(4);
-    cache.insert(make_key(), make_record(1.0));
-    std::stringstream stream;
-    ASSERT_TRUE(cache.save(stream, "id"));
-    const std::string bytes = stream.str();
+    TripCacheKey other = make_key();
+    other.recipe.cycles = 700;
+    cache.insert(other, make_record(1.0));
+    const std::string bytes = cache.save("id");
 
-    TripPointCache loaded(4);
-    std::stringstream bad_magic("NOTACACHE-AT-ALL");
-    EXPECT_FALSE(loaded.load(bad_magic, "id"));
-
-    std::stringstream truncated(bytes.substr(0, bytes.size() / 2));
-    EXPECT_FALSE(loaded.load(truncated, "id"));
-    EXPECT_EQ(loaded.size(), 0u);
+    std::string flipped = bytes;
+    flipped[bytes.size() / 2] ^= 0x41;
+    const std::string cut = bytes.substr(0, bytes.size() - 1);
+    for (const std::string& corrupt :
+         {std::string("NOTACACHE-AT-ALL"), flipped, cut}) {
+        TripPointCache loaded(4);
+        loaded.insert(make_key(), make_record(9.0));
+        EXPECT_FALSE(loaded.load(corrupt, "id"));
+        EXPECT_EQ(loaded.size(), 1u);
+        EXPECT_NE(loaded.lookup(make_key()), nullptr);
+        EXPECT_FALSE(TripPointCache::peek_identity(corrupt).has_value());
+    }
 }
 
 TEST(TripCachePersistTest, OverCapacityLoadKeepsMostRecent) {
@@ -219,11 +226,9 @@ TEST(TripCachePersistTest, OverCapacityLoadKeepsMostRecent) {
         keys[i].recipe.cycles = 100 + static_cast<std::uint32_t>(i);
         big.insert(keys[i], make_record(static_cast<double>(i)));
     }
-    std::stringstream stream;
-    ASSERT_TRUE(big.save(stream, "id"));
 
     TripPointCache small(2);
-    ASSERT_TRUE(small.load(stream, "id"));
+    ASSERT_TRUE(small.load(big.save("id"), "id"));
     EXPECT_EQ(small.size(), 2u);
     EXPECT_EQ(small.stats().evictions, 0u);
     EXPECT_EQ(small.lookup(keys[0]), nullptr);
@@ -232,65 +237,50 @@ TEST(TripCachePersistTest, OverCapacityLoadKeepsMostRecent) {
     EXPECT_NE(small.lookup(keys[3]), nullptr);
 }
 
-// Fuzz-style hardening: every truncated prefix of a saved cache must be
-// refused without crashing and without disturbing the live cache.
-TEST(TripCachePersistTest, EveryTruncatedPrefixRejected) {
-    TripPointCache cache(8);
-    for (int i = 0; i < 3; ++i) {
-        TripCacheKey key = make_key();
-        key.recipe.cycles = 200 + static_cast<std::uint32_t>(i);
-        cache.insert(key, make_record(static_cast<double>(i)));
-    }
-    std::stringstream stream;
-    ASSERT_TRUE(cache.save(stream, "id"));
-    const std::string bytes = stream.str();
-
-    for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-        TripPointCache loaded(8);
-        loaded.insert(make_key(), make_record(9.0));
-        std::stringstream truncated(bytes.substr(0, cut));
-        EXPECT_FALSE(loaded.load(truncated, "id")) << "prefix length " << cut;
-        EXPECT_EQ(loaded.size(), 1u) << "prefix length " << cut;
-        EXPECT_NE(loaded.lookup(make_key()), nullptr);
-    }
-}
-
-// Any single flipped byte — payload, length field, or checksum itself —
-// fails the trailing checksum and the file is treated as cold.
-TEST(TripCachePersistTest, EveryByteFlipRejected) {
-    TripPointCache cache(4);
-    cache.insert(make_key(), make_record(1.0));
-    std::stringstream stream;
-    ASSERT_TRUE(cache.save(stream, "id"));
-    const std::string bytes = stream.str();
-
-    for (std::size_t pos = 0; pos < bytes.size(); ++pos) {
-        std::string mutated = bytes;
-        mutated[pos] = static_cast<char>(mutated[pos] ^ 0x41);
-        TripPointCache loaded(4);
-        std::stringstream corrupt(mutated);
-        EXPECT_FALSE(loaded.load(corrupt, "id")) << "byte " << pos;
-        EXPECT_EQ(loaded.size(), 0u) << "byte " << pos;
-    }
-}
-
-// Appending garbage past the declared entry count is corruption, not
-// extra warmth.
+// Appending a byte past the declared entry count breaks the envelope,
+// so the file is corruption, not extra warmth.
 TEST(TripCachePersistTest, TrailingGarbageRejected) {
     TripPointCache cache(4);
     cache.insert(make_key(), make_record(1.0));
-    std::stringstream stream;
-    ASSERT_TRUE(cache.save(stream, "id"));
-    std::stringstream padded(stream.str() + "extra");
     TripPointCache loaded(4);
-    EXPECT_FALSE(loaded.load(padded, "id"));
+    EXPECT_FALSE(loaded.load(cache.save("id") + "x", "id"));
+    EXPECT_EQ(loaded.size(), 0u);
+}
+
+// Entries with empty test names are the smallest an entry can encode;
+// the entry-count bound must still admit them.
+TEST(TripCachePersistTest, SmallestEntriesRoundTrip) {
+    TripPointCache cache(8);
+    for (std::uint32_t i = 0; i < 3; ++i) {
+        TripCacheKey key = make_key();
+        key.recipe.cycles = 300 + i;
+        TripPointRecord record = make_record(1.0);
+        record.test_name.clear();
+        cache.insert(key, record);
+    }
+    TripPointCache loaded(8);
+    ASSERT_TRUE(loaded.load(cache.save(""), ""));
+    EXPECT_EQ(loaded.size(), 3u);
+}
+
+// A checksum is not a MAC: anyone can forge a sealed file. A 34-byte
+// file that claims 2^24 entries is refused from its size alone, before
+// the loader allocates room for them.
+TEST(TripCachePersistTest, ForgedEntryCountRefused) {
+    std::string payload;
+    util::put_string(payload, "id");
+    util::put_u64(payload, 1ULL << 24);
+    const std::string forged = util::seal("CICHTPC2", payload);
+    ASSERT_EQ(forged.size(), 34u);
+    TripPointCache loaded(4);
+    EXPECT_FALSE(loaded.load(forged, "id"));
     EXPECT_EQ(loaded.size(), 0u);
 }
 
 // A version-1 file (no checksum) fails the magic check: documented
 // cold-cache fallback, never a misparse.
 TEST(TripCachePersistTest, OldFormatVersionStartsCold) {
-    std::stringstream v1("CICHTPC1\x02\x00\x00\x00\x00\x00\x00\x00id");
+    const std::string v1("CICHTPC1\x02\x00\x00\x00\x00\x00\x00\x00id", 18);
     TripPointCache loaded(4);
     EXPECT_FALSE(loaded.load(v1, "id"));
     EXPECT_EQ(loaded.size(), 0u);

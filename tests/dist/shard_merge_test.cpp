@@ -2,14 +2,15 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
+#include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "core/checkpoint.hpp"
 #include "core/trip_cache.hpp"
 #include "lot/lot_report.hpp"
 #include "lot/lot_runner.hpp"
+#include "util/binio.hpp"
 
 namespace cichar::dist {
 namespace {
@@ -211,8 +212,7 @@ std::string write_cache(const std::string& name,
         cache.insert(cache_key(seed), cache_record(trip));
     }
     const std::string path = testing::TempDir() + name;
-    std::ofstream out(path, std::ios::binary);
-    EXPECT_TRUE(cache.save(out, identity));
+    EXPECT_TRUE(util::atomic_write_file(path, cache.save(identity)));
     return path;
 }
 
@@ -224,8 +224,9 @@ TEST(ShardMergeTest, TripCacheFusionUnionsShardCaches) {
     EXPECT_EQ(merge_trip_cache_files({a, b}, out), "T_DQ");
 
     core::TripPointCache fused(64);
-    std::ifstream in(out, std::ios::binary);
-    ASSERT_TRUE(fused.load(in, "T_DQ"));
+    const std::optional<std::string> bytes = util::read_file(out);
+    ASSERT_TRUE(bytes.has_value());
+    ASSERT_TRUE(fused.load(*bytes, "T_DQ"));
     EXPECT_EQ(fused.size(), 4u);  // key 3 collided
     for (const std::uint64_t seed : {1u, 2u, 4u}) {
         ASSERT_NE(fused.lookup(cache_key(seed)), nullptr);

@@ -5,8 +5,10 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace cichar::util {
 namespace {
@@ -99,6 +101,84 @@ TEST(BinioTest, ChecksumDetectsBitFlip) {
     EXPECT_NE(checksum64(data), clean);
     EXPECT_NE(checksum64(std::string_view(data).substr(0, data.size() - 1)),
               clean);
+}
+
+TEST(BinioTest, CountBoundedByBytesLeft) {
+    std::string buffer;
+    put_u64(buffer, 2);
+    buffer.append(16, 'x');
+    ByteReader fits(buffer);
+    EXPECT_EQ(fits.get_count(8), 2u);
+    ByteReader too_big(buffer);
+    EXPECT_THROW((void)too_big.get_count(9), std::runtime_error);
+}
+
+// The one fuzz suite of the sealed envelope every binary artifact uses
+// (trip cache, checkpoint, shard manifest, status snapshot): each
+// format's own tests only prove that its decoder goes through unseal().
+class BinioSealTest : public ::testing::Test {
+protected:
+    static constexpr std::string_view kMagic = "CITEST01";
+    // Embedded NULs: the payload is raw bytes, not a C string.
+    const std::string payload_{"sealed\0payload\0with NULs", 24};
+    const std::string sealed_ = seal(kMagic, payload_);
+};
+
+TEST_F(BinioSealTest, RoundTripKeepsEmbeddedNuls) {
+    ASSERT_EQ(sealed_.size(), kMagic.size() + payload_.size() + 8);
+    EXPECT_EQ(sealed_.substr(0, kMagic.size()), kMagic);
+    const std::optional<std::string_view> opened = unseal(kMagic, sealed_);
+    ASSERT_TRUE(opened.has_value());
+    EXPECT_EQ(*opened, payload_);
+    // The checksum trails the payload, little-endian.
+    ByteReader tail(std::string_view(sealed_).substr(sealed_.size() - 8));
+    EXPECT_EQ(tail.get_u64(), checksum64(payload_));
+}
+
+TEST_F(BinioSealTest, EmptyPayloadRoundTrips) {
+    const std::string sealed = seal(kMagic, "");
+    const std::optional<std::string_view> opened = unseal(kMagic, sealed);
+    ASSERT_TRUE(opened.has_value());
+    EXPECT_TRUE(opened->empty());
+}
+
+TEST_F(BinioSealTest, RejectsEmptyInput) {
+    EXPECT_FALSE(unseal(kMagic, "").has_value());
+    EXPECT_FALSE(unseal(kMagic, kMagic).has_value());
+}
+
+TEST_F(BinioSealTest, RejectsEveryProperPrefix) {
+    for (std::size_t len = 0; len < sealed_.size(); ++len) {
+        EXPECT_FALSE(unseal(kMagic, std::string_view(sealed_).substr(0, len)))
+            << "prefix of length " << len << " unsealed";
+    }
+}
+
+TEST_F(BinioSealTest, RejectsEverySingleBitFlip) {
+    // Magic, payload and checksum bytes alike.
+    for (std::size_t i = 0; i < sealed_.size(); ++i) {
+        for (int bit = 0; bit < 8; ++bit) {
+            std::string mutated = sealed_;
+            mutated[i] = static_cast<char>(mutated[i] ^ (1 << bit));
+            EXPECT_FALSE(unseal(kMagic, mutated))
+                << "flip at byte " << i << " bit " << bit << " unsealed";
+        }
+    }
+}
+
+TEST_F(BinioSealTest, RejectsTrailingBytes) {
+    EXPECT_FALSE(unseal(kMagic, sealed_ + '\0'));
+    EXPECT_FALSE(unseal(kMagic, sealed_ + "tail"));
+    EXPECT_FALSE(unseal(kMagic, sealed_ + sealed_));
+}
+
+TEST_F(BinioSealTest, RejectsWrongMagic) {
+    EXPECT_FALSE(unseal("CITEST02", sealed_));
+    // A magic of another length never lines the checksum up either.
+    EXPECT_FALSE(unseal("CITEST0", sealed_));
+    EXPECT_FALSE(unseal("CITEST01X", sealed_));
+    // Resealing the same payload under another magic is another format.
+    EXPECT_FALSE(unseal(kMagic, seal("CITEST02", payload_)));
 }
 
 TEST(BinioTest, AtomicWriteCreatesAndReplaces) {
