@@ -1,18 +1,18 @@
-// Extension bench: the async submission/completion pipeline. The GA
-// hunt's fitness batch is rate-limited by emulated tester I/O
-// (TesterOptions::realtime_fraction); the blocking replica path sleeps
-// that latency inline per worker, while the async path turns it into
-// completion deadlines and keeps decoding/scoring underneath. Three
-// timed configurations at a fixed worker count:
+// Extension bench: the submission/completion queue the hunt measures
+// through. The GA hunt's fitness batch is rate-limited by emulated tester
+// I/O (TesterOptions::realtime_fraction); every fitness slot is one job
+// on the queue, and its latency is one completion deadline, so the
+// in-flight depth decides how much of it overlaps decoding and other
+// slots. Three timed configurations at a fixed worker count:
 //
-//   C   blocking, fraction 0     -> the pure CPU (decode/eval/score) cost
-//   T_b blocking, fraction 0.35  -> CPU + latency, serialized per worker
-//   T_a async x16, fraction 0.35 -> CPU overlapped with in-flight latency
+//   C   inflight 1, fraction 0     -> the pure CPU (decode/eval/score) cost
+//   T_b inflight 1, fraction 0.35  -> CPU + latency, shallow window
+//   T_a inflight 16, fraction 0.35 -> CPU overlapped with in-flight latency
 //
-// hidden = (T_b - T_a) / C: how much of the CPU cost the pipeline moved
-// off the critical path, in units of that cost. Target: >= 0.8 (a ratio
-// above 1 means the deeper in-flight window also overlapped latency the
-// blocking path serialized). Byte-identical reports across all rows.
+// hidden = (T_b - T_a) / C: how much of the CPU cost the deeper window
+// moved off the critical path, in units of that cost. Target: >= 0.8 (a
+// ratio above 1 means the deeper window also overlapped latency the
+// shallow one serialized). Byte-identical reports across all rows.
 //
 // A fourth section ablates the warm replica slab: every fitness slot
 // used to pay a cold clone (16 KiB of array state + a Tester + ledger +
@@ -23,11 +23,11 @@
 // off — every evaluation is measured and the per-slot fixed costs are
 // the bill. Target: >= 20% wall-clock reduction, byte-identical report.
 //
-// `--quick` (CI smoke) skips the latency rig and asserts (a) the async
-// engine is not slower than the blocking path at fraction 0 — the queue
-// machinery must be free when there is no latency to hide — and (b) the
-// warm slab is not slower than forced cold clones on the same workload
-// (ratio ~= 1.0: recycling must never cost wall clock).
+// `--quick` (CI smoke) skips the latency rig and asserts (a) inflight 16
+// is not slower than inflight 1 at fraction 0 — a deeper window must be
+// free when there is no latency to hide — and (b) the warm slab is not
+// slower than forced cold clones on the same workload (ratio ~= 1.0:
+// recycling must never cost wall clock).
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -201,17 +201,18 @@ void print_slab_audit() {
 }
 
 int run_quick() {
-    // CI smoke: with no latency to hide, the async engine's queue
-    // machinery must not cost wall clock (20% noise margin for shared
-    // runners) and the report must stay byte-identical.
-    const TimedConfig blocking =
-        time_config("blocking (fraction 0)", 1, 0.0, 3);
-    const TimedConfig async_run =
-        time_config("async x16 (fraction 0)", kInflight, 0.0, 3);
-    const bool identical = async_run.last.rendered == blocking.last.rendered;
+    // CI smoke: with no latency to hide, a deeper in-flight window must
+    // not cost wall clock (20% noise margin for shared runners) and the
+    // report must stay byte-identical.
+    const TimedConfig shallow =
+        time_config("inflight 1 (fraction 0)", 1, 0.0, 3);
+    const TimedConfig deep =
+        time_config("inflight 16 (fraction 0)", kInflight, 0.0, 3);
+    const bool identical = deep.last.rendered == shallow.last.rendered;
     const double ratio =
-        blocking.median > 0.0 ? async_run.median / blocking.median : 1.0;
-    std::printf("async/blocking wall ratio: %.2f (target <= 1.20): %s\n",
+        shallow.median > 0.0 ? deep.median / shallow.median : 1.0;
+    std::printf("inflight 16 / inflight 1 wall ratio: %.2f "
+                "(target <= 1.20): %s\n",
                 ratio, ratio <= 1.20 ? "PASS" : "FAIL");
     std::printf("report identical: %s\n", identical ? "PASS" : "FAIL");
 
@@ -239,50 +240,50 @@ int run_quick() {
 int main(int argc, char** argv) {
     const bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
     bench::header("Extension",
-                  quick ? "async pipeline smoke: no-latency overhead check"
-                        : "async pipeline: hiding decode/scoring cost "
+                  quick ? "completion queue smoke: no-latency overhead check"
+                        : "completion queue: hiding decode/scoring cost "
                           "behind in-flight tester latency",
                   kSeed);
     if (quick) return run_quick();
 
     const TimedConfig cpu_only =
-        time_config("blocking, fraction 0 (CPU cost C)", 1, 0.0, 3);
-    const TimedConfig blocking = time_config(
-        "blocking, fraction 0.35 (T_b)", 1, kRealtimeFraction, 3);
-    const TimedConfig async_run = time_config(
-        "async x16, fraction 0.35 (T_a)", kInflight, kRealtimeFraction, 3);
+        time_config("inflight 1, fraction 0 (CPU cost C)", 1, 0.0, 3);
+    const TimedConfig shallow = time_config(
+        "inflight 1, fraction 0.35 (T_b)", 1, kRealtimeFraction, 3);
+    const TimedConfig deep = time_config(
+        "inflight 16, fraction 0.35 (T_a)", kInflight, kRealtimeFraction, 3);
 
     bench::section("latency hiding (jobs=4)");
     util::TextTable table(
         {"config", "inflight", "fraction", "median s", "report identical"});
     const std::string& reference = cpu_only.last.rendered;
-    const bool identical_blocking = blocking.last.rendered == reference;
-    const bool identical_async = async_run.last.rendered == reference;
-    table.add_row({"blocking (CPU)", "1", "0", util::fixed(cpu_only.median, 2),
-                   "yes"});
-    table.add_row({"blocking", "1", util::fixed(kRealtimeFraction, 2),
-                   util::fixed(blocking.median, 2),
-                   identical_blocking ? "yes" : "NO"});
-    table.add_row({"async", std::to_string(kInflight),
+    const bool identical_shallow = shallow.last.rendered == reference;
+    const bool identical_deep = deep.last.rendered == reference;
+    table.add_row({"inflight 1 (CPU)", "1", "0",
+                   util::fixed(cpu_only.median, 2), "yes"});
+    table.add_row({"inflight 1", "1", util::fixed(kRealtimeFraction, 2),
+                   util::fixed(shallow.median, 2),
+                   identical_shallow ? "yes" : "NO"});
+    table.add_row({"inflight 16", std::to_string(kInflight),
                    util::fixed(kRealtimeFraction, 2),
-                   util::fixed(async_run.median, 2),
-                   identical_async ? "yes" : "NO"});
+                   util::fixed(deep.median, 2),
+                   identical_deep ? "yes" : "NO"});
     std::printf("%s", table.render().c_str());
 
-    const bool deterministic = identical_blocking && identical_async;
+    const bool deterministic = identical_shallow && identical_deep;
     const double hidden =
         cpu_only.median > 0.0
-            ? (blocking.median - async_run.median) / cpu_only.median
+            ? (shallow.median - deep.median) / cpu_only.median
             : 0.0;
     const double speedup =
-        async_run.median > 0.0 ? blocking.median / async_run.median : 0.0;
-    std::printf("\nwall clock removed by the queue: %.2f s (%.0f%% of the "
-                "%.2f s CPU cost)\n",
-                blocking.median - async_run.median, 100.0 * hidden,
+        deep.median > 0.0 ? shallow.median / deep.median : 0.0;
+    std::printf("\nwall clock removed by the deeper window: %.2f s (%.0f%% "
+                "of the %.2f s CPU cost)\n",
+                shallow.median - deep.median, 100.0 * hidden,
                 cpu_only.median);
     std::printf("hidden cost fraction: %.2f (target >= 0.80): %s\n", hidden,
                 hidden >= 0.80 ? "PASS" : "FAIL");
-    std::printf("speedup over blocking at fraction %.2f: %.2fx\n",
+    std::printf("speedup over inflight 1 at fraction %.2f: %.2fx\n",
                 kRealtimeFraction, speedup);
     std::printf("inflight determinism (byte-identical reports): %s\n",
                 deterministic ? "PASS" : "FAIL");
@@ -327,8 +328,8 @@ int main(int argc, char** argv) {
     json.set_integer("inflight", kInflight);
     json.set_number("realtime_fraction", kRealtimeFraction);
     json.set_number("cpu_seconds", cpu_only.median);
-    json.set_number("blocking_seconds", blocking.median);
-    json.set_number("async_seconds", async_run.median);
+    json.set_number("blocking_seconds", shallow.median);
+    json.set_number("async_seconds", deep.median);
     json.set_number("hidden_cost_fraction", hidden);
     json.set_number("speedup", speedup);
     json.set_bool("deterministic", deterministic);

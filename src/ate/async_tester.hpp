@@ -1,38 +1,36 @@
-// Asynchronous queue-pair layer over Tester, in the style of an SPDK
-// submission-ring/completion-queue: the caller submits measurement
-// requests (bounded ring, one callback each), keeps doing CPU work —
-// decoding chromosomes, consulting caches, scoring — and harvests
-// completions when they ripen. Under emulated hardware latency
+// Asynchronous queue-pair layer for replica measurements, in the style of
+// an SPDK submission-ring/completion-queue: the caller submits whole
+// measurement jobs (bounded ring, one callback each), keeps doing CPU work
+// — decoding chromosomes, consulting caches — and harvests completions
+// when they ripen. A job is one GA fitness slot: a complete trip search on
+// its own replica tester (window search, full-range fallback, functional
+// run, measurement-policy retries, fault forcing), returning the modeled
+// tester-seconds it ledgered. Under emulated hardware latency
 // (TesterOptions::realtime_fraction) a request is *ripe* at
 //
-//     max(CPU evaluation finished, submit time + LatencyModel deadline)
+//     max(job finished, submit time + LatencyModel::inflight_seconds(s))
 //
-// so the modeled tester I/O elapses concurrently with everything else
-// instead of being slept inline by each worker. Completions may ripen
+// — the same wall clock as sleeping each probe's latency back to back,
+// but elapsing concurrently with everything else. Completions may ripen
 // out of submission order; the caller owns ordering (the optimizer
 // reduces in submission order regardless of harvest order, which is what
-// keeps async results byte-identical to the blocking path).
+// keeps results byte-identical at any depth).
 //
-// Threading contract: submit/poll/wait/drain are called from ONE owner
-// thread. CPU evaluation runs on the borrowed ThreadPool (or inline at
-// submit when no pool is given); completion callbacks always run on the
-// owner thread, inside poll()/wait(), and may themselves submit
-// follow-up requests — a harvested completion has already freed its ring
-// slot, so a 1:1 resubmission never overflows the ring. With shared
-// credits the same guarantee holds: a harvested request's credit (or
-// floor slot) is retained by this ring until the harvest's callbacks have
-// run, so a sibling ring can never steal the capacity a resubmission
-// relies on; only the surplus is donated back afterwards.
+// Threading contract: submit/wait/drain are called from ONE owner thread.
+// Jobs run on the borrowed ThreadPool (or inline at submit when no pool is
+// given); completion callbacks always run on the owner thread, inside
+// wait()/drain(), and must not submit.
 #pragma once
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <vector>
+#include <mutex>
 
 #include "ate/latency_model.hpp"
 #include "ate/tester.hpp"
@@ -42,9 +40,9 @@ namespace cichar::ate {
 
 /// A lot-wide pool of donatable inflight credits shared by several
 /// AsyncTester rings (one ring per site = one ordering domain). Each ring
-/// keeps a guaranteed floor of `AsyncTesterOptions::guaranteed_depth`
-/// requests it may always have in flight — progress never depends on
-/// another site — and borrows one credit per request beyond the floor, so
+/// keeps a guaranteed floor of one request it may always have in flight
+/// — progress never depends on another site — and borrows one credit per
+/// request beyond the floor, so
 /// idle sites donate their unused depth to busy ones. Purely a depth
 /// throttle: it never changes which measurements run or how completions
 /// are ordered, so results are byte-identical at any credit count.
@@ -73,33 +71,34 @@ struct AsyncTesterOptions {
     /// Submission-ring capacity: the maximum number of requests in flight.
     std::size_t queue_depth = 16;
     /// Deadline source for the emulated tester latency — build it from the
-    /// *original* TesterOptions. The testers driven through the queue
-    /// should be constructed with `replica_options()` (emulation stripped)
-    /// so workers never sleep the latency a deadline already models.
+    /// *original* TesterOptions. The testers a job measures on should be
+    /// constructed with `replica_options()` (emulation stripped) so jobs
+    /// never sleep the latency a deadline already models.
     LatencyModel latency{};
     /// Optional shared inflight budget (borrowed, not owned; must outlive
-    /// the ring). nullptr = this ring owns its full queue_depth, exactly
-    /// the pre-sharing behavior.
+    /// the ring). nullptr = this ring owns its full queue_depth.
     SharedRingCredits* shared_credits = nullptr;
-    /// In-flight requests this ring may hold without borrowing a shared
-    /// credit. At least 1, or a ring could be starved into a livelock by
-    /// its siblings.
-    std::size_t guaranteed_depth = 1;
 };
 
 /// One harvested completion, handed to the request's callback.
 struct AsyncCompletion {
+    using Clock = std::chrono::steady_clock;
+
     std::uint64_t id = 0;
-    bool pass = false;  ///< parametric requests
-    device::FunctionalResult functional{};
-    bool is_functional = false;
-    /// Exception thrown by the measurement, if any; the callback decides
-    /// whether to rethrow.
+    /// Modeled tester-seconds the job returned (0 when it threw).
+    double tester_seconds = 0.0;
+    Clock::time_point submitted_at{};
+    /// submitted_at + latency.inflight_seconds(tester_seconds).
+    Clock::time_point deadline{};
+    /// Exception thrown by the job, if any; the callback decides whether
+    /// to rethrow.
     std::exception_ptr error;
 };
 
 class AsyncTester {
 public:
+    /// One measurement job; returns the modeled tester-seconds it spent.
+    using Job = std::function<double()>;
     using CompletionFn = std::function<void(const AsyncCompletion&)>;
 
     struct Stats {
@@ -112,8 +111,8 @@ public:
     explicit AsyncTester(AsyncTesterOptions options,
                          util::ThreadPool* pool = nullptr);
 
-    /// Waits for outstanding CPU evaluations (borrowed testers/tests must
-    /// stay alive until then) and drops their callbacks un-invoked.
+    /// Waits for outstanding jobs (whatever they borrow must stay alive
+    /// until then) and drops their callbacks un-invoked.
     ~AsyncTester();
 
     AsyncTester(const AsyncTester&) = delete;
@@ -127,105 +126,70 @@ public:
         return options;
     }
 
-    /// Submits one parametric measurement (Tester::apply). Returns false
-    /// when the ring is full — harvest first. `tester`, `test` and
-    /// `parameter` are borrowed until the completion is harvested.
-    [[nodiscard]] bool submit(std::uint64_t id, Tester& tester,
-                              const testgen::Test& test,
-                              const Parameter& parameter, double setting,
+    /// Submits one job. Returns false (and drops the job) when the ring is
+    /// full or no shared credit is available — harvest first.
+    [[nodiscard]] bool submit(std::uint64_t id, Job job,
                               CompletionFn on_complete);
 
-    /// Submits one functional run (Tester::run_functional).
-    [[nodiscard]] bool submit_functional(std::uint64_t id, Tester& tester,
-                                         const testgen::Test& test,
-                                         CompletionFn on_complete);
-
-    /// Harvests every ripe completion (callbacks run on this thread, in
-    /// submission order among the ripe set). Returns the harvest count.
-    std::size_t poll();
-
-    /// Blocks until at least one completion is ripe, then harvests like
-    /// poll(). Returns immediately (0) when nothing is in flight.
+    /// Blocks until at least one completion is ripe, then harvests every
+    /// ripe one (callbacks run on this thread, in submission order among
+    /// the ripe set). Returns the harvest count, 0 when nothing is in
+    /// flight.
     std::size_t wait();
 
-    /// Harvests until the ring is empty.
+    /// Harvests until the ring is empty, waking once when the last job
+    /// finishes rather than once per job.
     void drain();
 
-    /// Abandons the ring: waits for outstanding CPU evaluations (so no
-    /// worker still touches a borrowed tester/test) and drops their
-    /// callbacks un-invoked. For unwinding after a completion callback
-    /// threw; a drained queue quiesces as a no-op.
+    /// Abandons the ring: waits for outstanding jobs (so no worker still
+    /// touches borrowed state) and drops their callbacks un-invoked. For
+    /// unwinding after a completion callback threw; a drained queue
+    /// quiesces as a no-op.
     void quiesce();
 
     [[nodiscard]] std::size_t in_flight() const;
     [[nodiscard]] bool can_submit() const;
     [[nodiscard]] Stats stats() const;
-    [[nodiscard]] const AsyncTesterOptions& options() const noexcept {
-        return options_;
-    }
 
 private:
-    using Clock = std::chrono::steady_clock;
+    using Clock = AsyncCompletion::Clock;
 
     struct Request {
-        std::uint64_t id = 0;
         std::uint64_t seq = 0;
         CompletionFn on_complete;
-        Clock::time_point deadline{};
-        bool eval_done = false;
-        Clock::time_point eval_done_at{};
-        bool is_functional = false;
-        bool pass = false;
-        device::FunctionalResult functional{};
-        std::exception_ptr error;
+        AsyncCompletion completion;
+        bool done = false;
+        Clock::time_point done_at{};
         /// True when this request borrowed a shared credit (as opposed to
         /// occupying a guaranteed floor slot).
         bool credited = false;
     };
 
-    /// Reserves a ring slot and returns the recycled-or-new request, or
-    /// nullptr when the ring is full. The caller runs the evaluation
-    /// (inline or on the pool) and then calls finish_eval().
-    [[nodiscard]] std::shared_ptr<Request> admit(std::uint64_t id,
-                                                 bool is_functional,
-                                                 double modeled_seconds,
-                                                 CompletionFn on_complete);
-    void finish_eval(Request& req);
-    [[nodiscard]] bool dispatch_to_pool() const noexcept;
-    std::size_t harvest(bool block);
+    void run(Request& req, const Job& job);
+    /// Waits for ripe completions — at least one, or with `all` every
+    /// request in the ring — then runs their callbacks.
+    std::size_t harvest(bool all);
 
     AsyncTesterOptions options_;
     util::ThreadPool* pool_;
     mutable std::mutex mutex_;
-    std::condition_variable ripe_cv_;
-    /// Eval-completion event count, readable without `mutex_`: the owner
-    /// poll-spins on it before paying a futex sleep (poll-mode first, like
-    /// a real completion queue).
-    std::atomic<std::uint64_t> done_events_{0};
-    /// True only while the owner is parked in `ripe_cv_`; workers skip the
-    /// notify syscall otherwise (guarded by `mutex_`).
-    bool owner_waiting_ = false;
+    std::condition_variable done_cv_;
     std::deque<std::shared_ptr<Request>> ring_;
-    /// Owner-thread-only request recycling and harvest scratch: at queue
-    /// depths of a few dozen, per-probe allocation would be a measurable
-    /// slice of a microsecond-scale evaluation.
-    std::vector<std::shared_ptr<Request>> free_list_;
-    std::vector<std::shared_ptr<Request>> ripe_scratch_;
-    std::vector<unsigned char> reorder_scratch_;
+    /// Submitted jobs not yet finished.
+    std::size_t running_ = 0;
+    /// A finishing job wakes the owner when running_ drops to this.
+    std::size_t wake_at_ = 0;
     std::uint64_t next_seq_ = 0;
     std::int64_t max_harvested_seq_ = -1;
     Stats stats_;
     // --- shared-credit accounting (all guarded by mutex_; meaningful
     // only when options_.shared_credits != nullptr) -------------------
-    /// In-flight requests occupying guaranteed floor slots.
-    std::size_t floor_used_ = 0;
-    /// Credits acquired by can_submit() and not yet consumed by admit().
-    /// Mutable because can_submit() is const; owner-thread only, like the
-    /// scratch vectors. Released when the ring goes idle or blocks.
-    mutable std::size_t cached_credits_ = 0;
-    /// Credits of harvested requests, held through the callback phase so
-    /// 1:1 resubmissions can never lose their capacity to a sibling ring.
-    std::size_t reserved_credits_ = 0;
+    /// True while an in-flight request occupies the guaranteed floor.
+    bool floor_used_ = false;
+    /// A credit acquired by can_submit() and not yet consumed by
+    /// submit(). Mutable because can_submit() is const; owner-thread
+    /// only. Released when the owner next waits.
+    mutable bool cached_credit_ = false;
 };
 
 }  // namespace cichar::ate

@@ -1,12 +1,12 @@
-// Tester latency model shared by the synchronous and asynchronous
-// measurement paths. The modeled per-measurement seconds (relay/level
-// setup + vector cycles) feed the ledger either way; what differs is how
-// the emulated hardware latency (`realtime_fraction`) is *spent*: the
-// blocking Tester sleeps it inline, while AsyncTester turns it into a
-// completion deadline and keeps the CPU busy underneath. Computing both
-// numbers in one place keeps the two paths ledger- and wall-clock
-// consistent, and the injectable sleep hook lets unit tests run the
-// emulated path against a fake clock.
+// Tester latency model. The modeled per-measurement seconds (relay/level
+// setup + vector cycles) feed the ledger; the emulated hardware latency
+// (`realtime_fraction`) is *spent* in one of two places: a Tester built
+// with it sleeps it inline per measurement (the session tester, learning
+// and shmoo), while the hunt's replicas are built without it and
+// AsyncTester turns the tester-seconds a whole fitness slot ledgered into
+// one completion deadline, keeping the CPU busy underneath. Both use
+// inflight_seconds(), so they agree on wall clock, and the injectable
+// sleep hook lets unit tests run the emulated path against a fake clock.
 #pragma once
 
 #include <cstdint>
@@ -39,8 +39,8 @@ public:
     }
 
     /// Wall-clock seconds a request of `modeled` tester-seconds keeps the
-    /// (emulated) hardware busy: the sync path sleeps this, the async path
-    /// schedules its completion deadline this far out.
+    /// (emulated) hardware busy: a Tester sleeps this, the completion
+    /// queue schedules a job's deadline this far past its submission.
     [[nodiscard]] double inflight_seconds(double modeled) const noexcept {
         return modeled * realtime_fraction_;
     }

@@ -68,7 +68,8 @@ void MeasurementLog::save(std::string& out) const {
 void MeasurementLog::load(util::ByteReader& in) {
     MeasurementLog loaded;
     loaded.phase_ = in.get_string();
-    const std::uint64_t count = in.get_u64();
+    // Each phase is at least a name length plus its three counters.
+    const std::uint64_t count = in.get_count(8 + 3 * 8);
     for (std::uint64_t i = 0; i < count; ++i) {
         std::string name = in.get_string();
         loaded.by_phase_[std::move(name)] = load_counters(in);

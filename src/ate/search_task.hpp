@@ -1,13 +1,12 @@
-// Resumable trip-point searches. The blocking TripPointSearch::find
-// loops call the oracle inline; a TripSearchTask inverts that control
-// flow into an explicit state machine that *yields* the next setting to
-// measure and is stepped forward by complete(pass). The async pipeline
-// parks one task per in-flight trip search and feeds each completion
-// back as it harvests; the blocking find() implementations for
-// SuccessiveApproximation and SearchUntilTrip are themselves thin loops
-// over the same tasks (run_search_task), so the synchronous and
-// asynchronous paths share one stepping engine and produce identical
-// probe sequences by construction.
+// Resumable trip-point searches. A TripSearchTask is an explicit state
+// machine that *yields* the next setting to measure and is stepped
+// forward by complete(pass). It is the one implementation of the
+// successive-approximation and search-until-trip algorithms: their
+// find() entry points are thin loops over a task (run_search_task). The
+// hunt's completion queue runs whole fitness slots as jobs, each calling
+// find() on its own replica, so no consumer parks a task between probes
+// any more; the task form keeps the probe sequence explicit and testable
+// one step at a time.
 #pragma once
 
 #include <cstdint>

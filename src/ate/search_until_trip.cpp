@@ -20,8 +20,8 @@ double SearchUntilTrip::offset_after(const Options& options,
 
 SearchResult SearchUntilTrip::find(const Oracle& oracle,
                                    const Parameter& parameter) const {
-    // The blocking entry point is a thin loop over the same resumable
-    // task the async pipeline drives, so both paths probe identically.
+    // A thin loop over the resumable task, the one implementation of
+    // the algorithm.
     SearchUntilTripTask task(options_, rtp_, parameter);
     return run_search_task(task, oracle);
 }

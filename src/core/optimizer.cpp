@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "ate/async_tester.hpp"
-#include "ate/search_task.hpp"
 #include "util/crash_point.hpp"
 #include "util/log.hpp"
 #include "util/telemetry.hpp"
@@ -319,42 +318,39 @@ WorstCaseReport WorstCaseOptimizer::drive(
                                                    options_.ga.population);
     };
 
-    // Async queue-pair evaluation (--inflight > 1). The fault injector's
-    // forced outcomes and the measurement policy's screen/guard retries
-    // re-enter the oracle mid-search; those flows stay on the blocking
-    // engine (whose results the async engine matches byte-for-byte
-    // anyway).
-    std::size_t inflight = std::max<std::size_t>(1, options_.parallel.inflight);
-    if (inflight > 1 && (faults_on || policy_on)) {
-        util::log_info(
-            "optimizer: fault injection / measurement policy active; "
-            "inflight > 1 falls back to blocking evaluation");
-        inflight = 1;
-    }
-    const bool use_async = inflight > 1;
-
+    const std::size_t inflight =
+        std::max<std::size_t>(1, options_.parallel.inflight);
     const ga::MultiPopulationGa driver(options_.ga);
     WorstCaseReport report;
     report.objective = objective;
     report.jobs = pool != nullptr ? pool->thread_count() : 1;
     report.inflight = inflight;
 
+    // Admission window: `inflight` fitness slots per worker and, on a
+    // pool, at least two, so a worker that finishes a slot picks up one
+    // the owner already decoded instead of waiting on the decode.
+    const std::size_t window =
+        report.jobs *
+        (pool != nullptr ? std::max<std::size_t>(2, inflight) : inflight);
+
     // Warm replica slab: clone_cold + Tester construction paid once per
     // slot at hunt start, then recycled via reset_warm for every fitness
-    // measurement. Auto-sizing covers every worker (blocking engine) and
-    // every in-flight search (async engine). Purely a perf layer — a slab
-    // lease is observably identical to a fresh cold clone, so
-    // reports/checkpoints/caches don't move.
+    // measurement. Auto-sizing covers the whole admission window. Purely
+    // a perf layer — a slab lease is observably identical to a fresh cold
+    // clone, so reports/checkpoints/caches don't move.
     const std::size_t slab_capacity =
         options_.parallel.replica_slab == HuntParallelOptions::kAutoSlab
-            ? report.jobs * inflight
+            ? window
             : options_.parallel.replica_slab;
     std::optional<ReplicaSlab> slab;
     if (slab_capacity > 0) slab.emplace(tester, slab_capacity);
+    // Replicas never sleep emulated latency: the queue's completion
+    // deadline carries it (one per slot).
+    const ate::TesterOptions replica_options =
+        ate::AsyncTester::replica_options(tester.options());
 
     // Hoisted once per hunt instead of copied per slot: the policy options
-    // template (only the seed differs between slots; the Tester options
-    // copies moved into the slab).
+    // template (only the seed differs between slots).
     MeasurementPolicyOptions policy_template = options_.trip.policy;
 
     struct Slot {
@@ -377,30 +373,28 @@ WorstCaseReport WorstCaseOptimizer::drive(
         std::exception_ptr error;
     };
 
-    // Per-batch scratch, hoisted so the outer buffers persist across
-    // fitness batches and generations instead of being reallocated per
-    // call (part of the per-slot allocation audit; the big per-slot costs
-    // — DUT arrays, Tester, ledger — live in the slab slots).
+    // Per-batch scratch, hoisted so the buffer persists across fitness
+    // batches and generations instead of being reallocated per call (the
+    // big per-slot costs — DUT arrays, Tester, ledger — live in the slab
+    // slots).
     std::vector<Slot> slots_scratch;
-    std::vector<std::size_t> pending_scratch;
 
-    // Measures one slot on a fresh cold replica of the DUT. The first-ever
-    // evaluation runs the full-range search and publishes the RTP
-    // follower; it must be called inline before any worker uses
-    // `follower`.
+    // Measures one slot on a fresh cold replica of the DUT and returns the
+    // modeled tester-seconds it ledgered. The first-ever evaluation runs
+    // the full-range search and publishes the RTP follower; it must
+    // complete before any other slot uses `follower`.
     const auto measure_slot = [&](Slot& slot, bool establish_reference) {
         // Warm slab lease when available, cold clone otherwise — the
         // leased replica is observably identical to the clone (reset_warm
-        // contract), with inline latency emulation kept (the blocking
-        // engine sleeps it, unlike the async path).
+        // contract).
         ReplicaSlab::Lease lease;
         std::unique_ptr<device::DeviceUnderTest> cold_dut;
         std::optional<ate::Tester> cold_tester;
         if (slab.has_value()) {
-            lease = slab->acquire(slot.noise_seed, /*inline_latency=*/true);
+            lease = slab->acquire(slot.noise_seed);
         } else {
             cold_dut = tester.dut().clone_cold(slot.noise_seed);
-            cold_tester.emplace(*cold_dut, tester.options());
+            cold_tester.emplace(*cold_dut, replica_options);
         }
         ate::Tester& replica = lease ? lease.tester() : *cold_tester;
         if (slot.injector.has_value()) {
@@ -460,19 +454,12 @@ WorstCaseReport WorstCaseOptimizer::drive(
             }
         }
         slot.log = std::move(replica.log());
-    };
-    const auto measure_guarded = [&](Slot& slot, bool establish_reference) {
-        try {
-            measure_slot(slot, establish_reference);
-        } catch (...) {
-            slot.error = std::current_exception();
-        }
+        return slot.log.total().tester_seconds;
     };
 
     // Ordering-stable reduction: ledger merges, database adds, and cache
-    // inserts all happen in submission order. Shared verbatim by the
-    // blocking and async engines — reduction order, not harvest order, is
-    // what the byte-identity contract rests on.
+    // inserts all happen in submission order. Reduction order, not harvest
+    // order, is what the byte-identity contract rests on.
     const auto reduce_slots = [&](std::vector<Slot>& slots) {
         std::vector<double> values;
         values.reserve(slots.size());
@@ -554,246 +541,75 @@ WorstCaseReport WorstCaseOptimizer::drive(
         return true;
     };
 
-    const ga::BatchFitnessFn batch_fitness =
-        [&](std::span<const ga::TestChromosome> batch) {
-            TELEM_SPAN("hunt.fitness_batch");
-            std::vector<Slot>& slots = slots_scratch;
-            slots.clear();
-            slots.resize(batch.size());
-            std::vector<std::size_t>& pending = pending_scratch;
-            pending.clear();
-            for (std::size_t i = 0; i < batch.size(); ++i) {
-                if (decode_slot(slots[i], batch[i])) pending.push_back(i);
-            }
-
-            // The very first measurement establishes the shared RTP. If it
-            // failed, the follower stays unset and reduce_slots rethrows.
-            std::size_t k = 0;
-            if (!follower.has_value() && !pending.empty()) {
-                measure_guarded(slots[pending[k++]], true);
-            }
-            if (follower.has_value()) {
-                for (; k < pending.size(); ++k) {
-                    Slot* slot = &slots[pending[k]];
-                    if (pool == nullptr) {
-                        measure_guarded(*slot, false);
-                    } else {
-                        pool->submit([&measure_guarded, slot] {
-                            measure_guarded(*slot, false);
-                        });
-                    }
-                }
-                if (pool != nullptr) pool->wait();
-            }
-            return reduce_slots(slots);
-        };
-
-    // ---- async queue-pair engine (--inflight > 1) --------------------
-    // Each non-cached slot runs its trip search as a resumable state
-    // machine whose probes ride the bounded submission/completion queue:
-    // up to `inflight` searches are pending at once, the owner thread
-    // decodes/admits new slots while measurements are in flight, and under
-    // emulated tester latency the completion deadlines — not worker sleeps
-    // — carry the hardware wait. Harvest order is whatever ripens first;
-    // reduce_slots puts everything back in submission order.
+    // ---- the fitness engine -------------------------------------------
+    // Every live slot is one job on the bounded submission/completion
+    // queue: the whole measurement (search, fallback, functional run,
+    // policy retries, fault forcing) runs on a pool worker, or inline at
+    // jobs 1, while the owner decodes and admits the next slots. Under
+    // emulated tester latency the slot's completion deadline — not a
+    // sleep — carries the hardware wait. Harvest order is whatever ripens
+    // first; reduce_slots puts everything back in submission order.
     ate::AsyncTesterOptions queue_options;
-    queue_options.queue_depth = inflight;
+    queue_options.queue_depth = window;
     queue_options.latency = tester.latency_model();
     // Lot-wide shared budget (when provided): this hunt's ring is one
     // ordering domain drawing depth from the shared pool beyond its
     // guaranteed floor. Purely a throttle — byte-identity holds at any
     // dynamic depth, exactly as it does across --inflight values.
     queue_options.shared_credits = options_.parallel.shared_credits;
-    std::optional<ate::AsyncTester> queue;
-    if (use_async) queue.emplace(queue_options, pool);
-    const ate::TesterOptions replica_options =
-        ate::AsyncTester::replica_options(tester.options());
+    // Declared after everything a job touches, so an exception unwinding
+    // drive() quiesces the queue before any of that state dies.
+    ate::AsyncTester queue(queue_options, pool);
 
-    const ga::BatchFitnessFn async_fitness =
+    const ga::BatchFitnessFn fitness =
         [&](std::span<const ga::TestChromosome> batch) {
             TELEM_SPAN("hunt.fitness_batch");
             std::vector<Slot>& slots = slots_scratch;
             slots.clear();
             slots.resize(batch.size());
-
-            struct Driver {
-                Slot* slot = nullptr;
-                /// Warm slab lease (slab on) or cold clone storage
-                /// (slab off); `replica` points at whichever is live.
-                ReplicaSlab::Lease lease;
-                std::unique_ptr<device::DeviceUnderTest> dut;
-                std::optional<ate::Tester> cold_replica;
-                ate::Tester* replica = nullptr;
-                std::unique_ptr<ate::TripSearchTask> task;
-                /// First attempt is the RTP-window search; a miss
-                /// swaps in the full-range fallback, like the
-                /// blocking follow_attempt.
-                bool window_attempt = true;
-                std::size_t window_measurements = 0;
-                bool functional_pending = false;
-            };
-            std::vector<std::unique_ptr<Driver>> drivers;
-            std::size_t outstanding = 0;
-
-            std::function<void(Driver*)> advance_driver;
-
-            const auto finish_driver = [&](Driver* d) {
-                d->slot->log = std::move(d->replica->log());
-                d->replica = nullptr;
-                d->lease.reset();
-                d->cold_replica.reset();
-                d->dut.reset();
-                d->task.reset();
-                --outstanding;
-            };
-
-            const auto on_completion =
-                [&](Driver* d, const ate::AsyncCompletion& c) {
-                    if (c.error) std::rethrow_exception(c.error);
-                    if (d->functional_pending) {
-                        d->slot->functional = c.functional;
-                        d->slot->functional_ran = true;
-                        finish_driver(d);
-                        return;
-                    }
-                    d->task->complete(c.pass);
-                    advance_driver(d);
-                };
-
-            const auto submit_probe = [&](Driver* d) {
-                const auto id =
-                    static_cast<std::uint64_t>(d->slot - slots.data());
-                const bool ok = queue->submit(
-                    id, *d->replica, d->slot->test, parameter,
-                    d->task->pending_setting(),
-                    [&, d](const ate::AsyncCompletion& c) {
-                        on_completion(d, c);
-                    });
-                // A driver has exactly one request outstanding and
-                // resubmits from inside its harvested completion (ring
-                // slot already freed), so the ring cannot be full.
-                if (!ok) {
-                    throw std::logic_error(
-                        "async hunt: submission ring overflow");
-                }
-            };
-
-            advance_driver = [&](Driver* d) {
-                for (;;) {
-                    if (!d->task->done()) {
-                        submit_probe(d);
-                        return;
-                    }
-                    const ate::SearchResult& peek = d->task->result();
-                    if (d->window_attempt && !peek.found &&
-                        options_.trip.full_search_on_miss) {
-                        // Window miss: full-range retry; the window's
-                        // probes stay on the bill.
-                        d->window_measurements = peek.measurements;
-                        d->window_attempt = false;
-                        d->task = std::make_unique<
-                            ate::SuccessiveApproximationTask>(
-                            options_.trip.initial, parameter);
-                        continue;
-                    }
-                    break;
-                }
-                ate::SearchResult result = d->task->take_result();
-                if (!d->window_attempt) {
-                    result.measurements += d->window_measurements;
-                }
-                d->slot->record =
-                    make_record(d->slot->name, result, parameter);
-                if (options_.check_functional_failures &&
-                    d->slot->record.found) {
-                    const double wcr = objective_wcr(
-                        objective, d->slot->record.trip_point,
-                        parameter.spec);
-                    if (wcr > options_.thresholds.fail) {
-                        d->functional_pending = true;
-                        const auto id = static_cast<std::uint64_t>(
-                            d->slot - slots.data());
-                        if (!queue->submit_functional(
-                                id, *d->replica, d->slot->test,
-                                [&, d](const ate::AsyncCompletion& c) {
-                                    on_completion(d, c);
-                                })) {
-                            throw std::logic_error(
-                                "async hunt: submission ring overflow");
-                        }
-                        return;
-                    }
-                }
-                finish_driver(d);
-            };
-
-            const auto start_driver = [&](std::size_t i) {
+            const auto submit = [&](std::size_t i, bool establish_reference) {
                 Slot& slot = slots[i];
-                auto d = std::make_unique<Driver>();
-                d->slot = &slot;
-                if (slab.has_value()) {
-                    d->lease = slab->acquire(slot.noise_seed,
-                                             /*inline_latency=*/false);
-                    d->replica = &d->lease.tester();
-                } else {
-                    d->dut = tester.dut().clone_cold(slot.noise_seed);
-                    d->cold_replica.emplace(*d->dut, replica_options);
-                    d->replica = &*d->cold_replica;
+                const bool ok = queue.submit(
+                    i,
+                    [&measure_slot, &slot, establish_reference] {
+                        return measure_slot(slot, establish_reference);
+                    },
+                    [&slot](const ate::AsyncCompletion& c) {
+                        slot.error = c.error;
+                    });
+                if (!ok) {
+                    throw std::logic_error("hunt: submission ring overflow");
                 }
-                d->replica->log().set_phase("ga-optimization");
-                if (options_.trip.settle_between_tests) {
-                    d->replica->settle();
-                }
-                d->task = std::make_unique<ate::SearchUntilTripTask>(
-                    options_.trip.follow, follower->reference_trip_point(),
-                    parameter);
-                ++outstanding;
-                Driver* raw = d.get();
-                drivers.push_back(std::move(d));
-                submit_probe(raw);
             };
 
-            // If a completion callback throws, workers may still be
-            // evaluating requests that borrow this frame's drivers —
-            // park the queue before the frame unwinds.
-            struct Quiesce {
-                ate::AsyncTester* q;
-                ~Quiesce() { q->quiesce(); }
-            } quiesce_guard{&*queue};
-
-            // The very first measurement establishes the shared RTP,
-            // inline and blocking, exactly like the threaded engine.
+            // The very first live measurement establishes the shared RTP
+            // follower; it completes before any other slot is admitted.
+            // If it failed, the follower stays unset and reduce_slots
+            // rethrows.
             std::size_t next = 0;
             if (!follower.has_value()) {
                 while (next < slots.size()) {
                     const std::size_t i = next++;
                     if (!decode_slot(slots[i], batch[i])) continue;
-                    measure_slot(slots[i], /*establish_reference=*/true);
+                    submit(i, /*establish_reference=*/true);
+                    queue.drain();
                     break;
                 }
             }
-            while (next < slots.size() || outstanding > 0) {
-                // Admit new searches while the ring has room: decode,
-                // cache lookup, and cold-replica cloning all happen
-                // here, hidden under whatever is already in flight.
-                while (next < slots.size() && queue->can_submit()) {
-                    const std::size_t i = next++;
-                    if (decode_slot(slots[i], batch[i])) start_driver(i);
-                    // Greedy harvest: a completion that ripens
-                    // instantly (inline eval, zero emulated latency)
-                    // runs its follow-up probe now, so a search chain
-                    // executes back-to-back on its hot replica instead
-                    // of round-robining `inflight` cold working sets
-                    // through the cache. Nothing ripens early when
-                    // latency is emulated, so the pipeline still fills.
-                    while (queue->poll() > 0) {
+            if (follower.has_value()) {
+                while (next < slots.size()) {
+                    if (!queue.can_submit()) {
+                        (void)queue.wait();
+                        continue;
                     }
+                    const std::size_t i = next++;
+                    if (decode_slot(slots[i], batch[i])) submit(i, false);
                 }
-                if (outstanding > 0) (void)queue->wait();
+                // Fully drained: no request outlives its batch, so the
+                // generation-boundary checkpoint never snapshots with
+                // measurements pending.
+                queue.drain();
             }
-            // Fully drained: no request outlives its batch, so the
-            // generation-boundary checkpoint below never snapshots
-            // with measurements pending (drain-before-snapshot).
             return reduce_slots(slots);
         };
 
@@ -847,8 +663,7 @@ WorstCaseReport WorstCaseOptimizer::drive(
             return true;
         };
     }
-    report.outcome = driver.run(use_async ? async_fitness : batch_fitness,
-                                std::move(seeds), rng, hooks);
+    report.outcome = driver.run(fitness, std::move(seeds), rng, hooks);
     if (slab.has_value()) report.slab = slab->stats();
 
     report.database = std::move(database);

@@ -46,32 +46,36 @@ enum class Objective : std::uint8_t {
 /// individual in submission order, so the hunt report is byte-identical
 /// at any `jobs` x `inflight` count: both knobs change speed, never
 /// results.
+///
+/// There is one fitness engine: each live fitness slot is one job on an
+/// ate::AsyncTester completion queue — the whole trip search, its
+/// full-range fallback, the functional run, measurement-policy retries
+/// and fault forcing — run on a pool worker (or inline at jobs 1) while
+/// the calling thread decodes and admits the next slots. The admission
+/// window is `inflight` slots per worker, and at least two per worker on
+/// a pool.
 struct HuntParallelOptions {
-    /// Ignored: replica evaluation is the only fitness engine. Kept only
-    /// so existing callers that still set it compile; slated for removal.
+    /// Ignored. Kept only so existing callers that still set it compile;
+    /// slated for removal.
     bool enabled = false;
     /// Worker threads: 1 = measure inline on the calling thread (no pool),
     /// 0 = one per hardware thread.
     std::size_t jobs = 1;
-    /// Trip searches kept in flight per fitness batch (> 1 enables the
-    /// asynchronous submission/completion pipeline: chromosome decoding,
-    /// cache lookups and scoring overlap pending measurements, and under
-    /// `TesterOptions::realtime_fraction` the emulated tester latency is
-    /// hidden behind completion deadlines instead of slept inline).
-    /// Completions are still reduced in submission order, so reports,
-    /// checkpoints and caches are byte-identical to the blocking path at
-    /// any jobs x inflight combination. Falls back to the blocking
-    /// threaded path when fault injection or the measurement policy is
-    /// active (their retry flows are oracle-reentrant).
+    /// Fitness slots kept in flight per worker. Under
+    /// `TesterOptions::realtime_fraction` each slot's emulated tester
+    /// latency is one completion deadline, not a sleep, so a deeper window
+    /// overlaps more of it with decoding and other slots. Completions are
+    /// reduced in submission order, so reports, checkpoints and caches are
+    /// byte-identical at any jobs x inflight combination, with fault
+    /// injection and the measurement policy on or off.
     std::size_t inflight = 1;
     /// Warm replica slab capacity: pre-cloned DUT + Tester pairs recycled
     /// across fitness slots and generations via reset_warm, replacing the
     /// per-slot clone_cold + Tester construction. kAutoSlab sizes it to
-    /// jobs x inflight (every worker and every in-flight search has a
-    /// warm slot); 0 disables the slab (cold clone per slot, the
-    /// pre-slab behavior). Purely a perf knob: reports, checkpoints, and
-    /// caches are byte-identical at any slab size, and it never enters a
-    /// checkpoint fingerprint.
+    /// the admission window; 0 disables the slab (cold clone per slot).
+    /// Purely a perf knob: reports, checkpoints, and caches are
+    /// byte-identical at any slab size, and it never enters a checkpoint
+    /// fingerprint.
     static constexpr std::size_t kAutoSlab = static_cast<std::size_t>(-1);
     std::size_t replica_slab = kAutoSlab;
     /// Optional lot-wide inflight budget shared with sibling hunts
@@ -134,7 +138,7 @@ struct HuntProgress {
     TripCacheStats cache{};
     /// ATE pattern applications spent so far by this hunt.
     std::size_t ate_applications = 0;
-    /// Configured in-flight trip-search depth (1 = blocking path).
+    /// Configured in-flight depth (HuntParallelOptions::inflight).
     std::size_t inflight = 1;
 };
 
@@ -170,9 +174,8 @@ struct WorstCaseReport {
     TripCacheStats cache_stats{};      ///< zeros when the cache is off
     std::size_t cache_preloaded = 0;   ///< entries warm-loaded from file
     std::size_t jobs = 1;              ///< worker threads actually used
-    /// In-flight trip searches actually used (1 = blocking path). Like
-    /// `jobs`, never rendered into the report: the byte-identity contract
-    /// forbids it.
+    /// Configured in-flight depth. Like `jobs`, never rendered into the
+    /// report: the byte-identity contract forbids it.
     std::size_t inflight = 1;
     /// Warm-slab recycling counters (zeros when the slab was off). Never
     /// rendered into the report, like `jobs`.

@@ -7,9 +7,13 @@
 // state a fresh cold clone would have, so slab-backed hunts stay
 // byte-identical to cold-clone hunts at any slab size.
 //
+// Every leased Tester is built with AsyncTester::replica_options (latency
+// emulation stripped): a replica never sleeps emulated latency inline —
+// the measurement queue's completion deadline carries it.
+//
 // Thread safety: acquire()/release (Lease destruction) may be called from
-// any thread — the blocking fitness engine leases slots from pool
-// workers. The leased Tester itself is single-threaded, as always.
+// any thread — fitness jobs lease slots from pool workers. The leased
+// Tester itself is single-threaded, as always.
 //
 // Exhaustion policy: an empty free list never blocks. The acquire falls
 // back to a transient cold clone owned by the lease (counted as a miss),
@@ -52,12 +56,7 @@ public:
     class Lease;
 
     /// Leases a replica seeded exactly like clone_cold(noise_seed).
-    /// `inline_latency` selects the Tester flavor: true keeps the source
-    /// tester's realtime_fraction (blocking engine sleeps the emulated
-    /// latency inline), false strips it (async engine: completion
-    /// deadlines carry the latency — AsyncTester::replica_options).
-    [[nodiscard]] Lease acquire(std::uint64_t noise_seed,
-                                bool inline_latency);
+    [[nodiscard]] Lease acquire(std::uint64_t noise_seed);
 
     [[nodiscard]] ReplicaSlabStats stats() const;
     [[nodiscard]] std::size_t capacity() const noexcept {
@@ -68,16 +67,14 @@ private:
     struct Slot {
         std::unique_ptr<device::DeviceUnderTest> dut;
         std::optional<ate::Tester> tester;
-        bool inline_latency = false;
     };
 
     /// Warm-resets (or cold-rebuilds) the slot for one evaluation.
-    void prepare(Slot& slot, std::uint64_t noise_seed, bool inline_latency);
+    void prepare(Slot& slot, std::uint64_t noise_seed);
     void release(Slot* slot);
 
     ate::Tester* source_;
-    ate::TesterOptions inline_options_;    ///< source flavor
-    ate::TesterOptions deadline_options_;  ///< realtime emulation stripped
+    ate::TesterOptions replica_options_;  ///< realtime emulation stripped
     std::vector<std::unique_ptr<Slot>> slots_;
     std::mutex mutex_;
     std::vector<Slot*> free_;

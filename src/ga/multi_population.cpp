@@ -29,12 +29,7 @@ MultiPopulationOutcome MultiPopulationOutcome::load(util::ByteReader& in) {
     outcome.evaluations = static_cast<std::size_t>(in.get_u64());
     outcome.restarts = static_cast<std::size_t>(in.get_u64());
     outcome.target_reached = in.get_bool();
-    const std::uint64_t history = in.get_u64();
-    if (history > (1ULL << 24)) {
-        throw std::runtime_error(
-            "MultiPopulationOutcome::load: implausible history length " +
-            std::to_string(history));
-    }
+    const std::uint64_t history = in.get_count(8);
     outcome.best_history.reserve(history);
     for (std::uint64_t i = 0; i < history; ++i) {
         outcome.best_history.push_back(in.get_double());
@@ -52,8 +47,10 @@ void MultiPopulationCheckpoint::save(std::string& out) const {
 MultiPopulationCheckpoint MultiPopulationCheckpoint::load(
     util::ByteReader& in, const PopulationOptions& options) {
     MultiPopulationCheckpoint checkpoint;
-    const std::uint64_t count = in.get_u64();
-    if (count == 0 || count > (1ULL << 16)) {
+    // Each population is at least its size plus generation, stagnation,
+    // best-seen and the evaluated flag.
+    const std::uint64_t count = in.get_count(4 * 8 + 1);
+    if (count == 0) {
         throw std::runtime_error(
             "MultiPopulationCheckpoint::load: implausible population count " +
             std::to_string(count));

@@ -101,12 +101,20 @@ void Population::save(std::string& out) const {
     util::put_bool(out, any_evaluated_);
 }
 
+namespace {
+
+/// Chromosome genes + pattern seed, fitness, evaluated flag.
+constexpr std::size_t kSavedIndividualBytes =
+    8 * (testgen::kSequenceGeneCount + kConditionGeneCount + 1) + 8 + 1;
+
+}  // namespace
+
 Population Population::load(util::ByteReader& in,
                             const PopulationOptions& options) {
     Population pop;
     pop.options_ = options;
-    const std::uint64_t count = in.get_u64();
-    if (count < 2 || count > (1ULL << 20)) {
+    const std::uint64_t count = in.get_count(kSavedIndividualBytes);
+    if (count < 2) {
         throw std::runtime_error("Population::load: implausible size " +
                                  std::to_string(count));
     }

@@ -122,15 +122,10 @@ std::string encode_finished_sites(const std::vector<SiteResult>& sites) {
 }
 
 std::vector<SiteResult> decode_finished_sites(const std::string& payload) {
-    // Corruption guard only — real lots are far smaller. A count above it
-    // means the length field itself is garbage.
-    constexpr std::uint64_t kMaxSites = 1 << 20;
-    constexpr std::uint64_t kMaxParameters = 1024;
     util::ByteReader in(payload);
-    const std::uint64_t finished = in.get_u64();
-    if (finished > kMaxSites) {
-        throw std::runtime_error("lot shard payload: absurd site count");
-    }
+    // A site is at least its index, status, risk and outcome count; a
+    // forged count is refused before anything is allocated for it.
+    const std::uint64_t finished = in.get_count(4 * 8);
     std::vector<SiteResult> decoded;
     decoded.reserve(static_cast<std::size_t>(finished));
     for (std::uint64_t i = 0; i < finished; ++i) {
@@ -146,10 +141,8 @@ std::vector<SiteResult> decode_finished_sites(const std::string& payload) {
         site.faults = core::FaultCounters::load(in);
         site.injected = ate::InjectionStats::load(in);
         site.log.load(in);
-        const std::uint64_t outcomes = in.get_u64();
-        if (outcomes > kMaxParameters) {
-            throw std::runtime_error("lot shard payload: too many parameters");
-        }
+        // An outcome is at least a name length and its margin risk.
+        const std::uint64_t outcomes = in.get_count(2 * 8);
         site.outcomes.reserve(static_cast<std::size_t>(outcomes));
         for (std::uint64_t p = 0; p < outcomes; ++p) {
             SiteParameterOutcome outcome;

@@ -61,12 +61,13 @@ struct LotOptions {
     std::size_t sites = 8;
     /// Worker threads; 0 means one per hardware thread.
     std::size_t jobs = 1;
-    /// Lot-wide trip searches in flight (at least 1; 0 is rejected with
-    /// std::invalid_argument). Every site's worst-case hunt measures on
-    /// replicas: 1 = blocking replicas, > 1 = the async
-    /// submission/completion pipeline. With `shared_ring` the total depth
-    /// is pooled lot-wide: each site keeps its own ring — its ordering
-    /// domain — with a guaranteed floor of one in-flight search, and
+    /// Lot-wide fitness slots in flight (at least 1; 0 is rejected with
+    /// std::invalid_argument). Every site's worst-case hunt measures its
+    /// fitness slots on replicas through its own completion queue; under
+    /// emulated tester latency a deeper ring overlaps more slots' waits.
+    /// With `shared_ring` the total depth is pooled lot-wide: each site
+    /// keeps its own ring — its ordering domain — with a guaranteed floor
+    /// of one in-flight slot, and
     /// borrows from the shared budget beyond it, so idle sites donate
     /// depth to busy ones. Reports and checkpoints are byte-identical at
     /// any inflight x jobs x replica_slab combination.

@@ -1,13 +1,19 @@
-// AsyncTester queue-pair semantics: submitted measurements return the
-// same verdicts as blocking Tester::apply on an identical DUT, the
-// bounded ring rejects over-submission, emulated-latency deadlines let
-// completions ripen out of submission order (tracked by the reorder
-// stat), and the LatencyModel shared by both paths sleeps through its
+// AsyncTester queue-pair semantics: measurement jobs run through the
+// queue give the same verdicts as blocking Tester::apply on an identical
+// DUT, the bounded ring rejects over-submission, a job's completion
+// deadline is its submit time plus the emulated latency of the
+// tester-seconds it returns (so completions ripen out of submission
+// order, tracked by the reorder stat), a throwing job reaches its
+// callback as an error, and the LatencyModel sleeps through its
 // injectable hook so the emulated path is unit-testable on a fake clock.
 #include "ate/async_tester.hpp"
 
-#include <functional>
+#include <chrono>
+#include <deque>
 #include <map>
+#include <memory>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -32,6 +38,21 @@ device::MemoryChipOptions noiseless() {
     o.noise_sigma_ns = 0.0;
     return o;
 }
+
+/// A one-probe measurement job: applies `setting` on `tester`, stores the
+/// verdict (when asked), and returns the tester-seconds it ledgered.
+AsyncTester::Job probe_job(Tester& tester, const testgen::Test& test,
+                           double setting, bool* verdict = nullptr) {
+    return [&tester, &test, setting, verdict] {
+        const double before = tester.log().total().tester_seconds;
+        const bool pass =
+            tester.apply(test, Parameter::data_valid_time(), setting);
+        if (verdict != nullptr) *verdict = pass;
+        return tester.log().total().tester_seconds - before;
+    };
+}
+
+const AsyncTester::CompletionFn ignore = [](const AsyncCompletion&) {};
 
 TEST(LatencyModelTest, ModeledSecondsFollowSetupAndCycles) {
     const LatencyModel m(5e-4, 0.0, 0.0);
@@ -113,13 +134,15 @@ TEST(AsyncTesterTest, VerdictsMatchBlockingApply) {
     AsyncTesterOptions options;
     options.queue_depth = settings.size();
     AsyncTester queue(options);
+    std::deque<bool> verdicts(settings.size());
     std::map<std::uint64_t, bool> async_verdicts;
     for (std::size_t i = 0; i < settings.size(); ++i) {
-        ASSERT_TRUE(queue.submit(i, async_tester_backend, t, p, settings[i],
-                                 [&async_verdicts](const AsyncCompletion& c) {
-                                     if (c.error) std::rethrow_exception(c.error);
-                                     async_verdicts[c.id] = c.pass;
-                                 }));
+        ASSERT_TRUE(queue.submit(
+            i, probe_job(async_tester_backend, t, settings[i], &verdicts[i]),
+            [&](const AsyncCompletion& c) {
+                if (c.error) std::rethrow_exception(c.error);
+                async_verdicts[c.id] = verdicts[c.id];
+            }));
     }
     queue.drain();
 
@@ -135,21 +158,30 @@ TEST(AsyncTesterTest, VerdictsMatchBlockingApply) {
 }
 
 TEST(AsyncTesterTest, FunctionalSubmission) {
+    // A job is a whole measurement, functional runs included; the
+    // completion carries the job's id and the tester-seconds it spent.
     device::MemoryTestChip chip({}, noiseless());
     Tester tester(chip);
     const testgen::Test t = sized_test("t", 50);
 
     AsyncTester queue({});
     bool harvested = false;
-    ASSERT_TRUE(queue.submit_functional(
-        7, tester, t, [&harvested](const AsyncCompletion& c) {
+    device::FunctionalResult functional;
+    ASSERT_TRUE(queue.submit(
+        7,
+        [&] {
+            functional = tester.run_functional(t);
+            return tester.log().total().tester_seconds;
+        },
+        [&](const AsyncCompletion& c) {
             if (c.error) std::rethrow_exception(c.error);
-            EXPECT_TRUE(c.is_functional);
             EXPECT_EQ(c.id, 7u);
+            EXPECT_EQ(c.tester_seconds, tester.log().total().tester_seconds);
             harvested = true;
         }));
     queue.drain();
     EXPECT_TRUE(harvested);
+    EXPECT_TRUE(functional.pass());
     EXPECT_EQ(tester.log().total().applications, 1u);
 }
 
@@ -157,24 +189,24 @@ TEST(AsyncTesterTest, BoundedRingRejectsWhenFull) {
     device::MemoryTestChip chip({}, noiseless());
     Tester tester(chip);
     const testgen::Test t = sized_test("t", 20);
-    const Parameter p = Parameter::data_valid_time();
 
     AsyncTesterOptions options;
     options.queue_depth = 2;
     AsyncTester queue(options);
-    const auto ignore = [](const AsyncCompletion&) {};
     EXPECT_TRUE(queue.can_submit());
-    ASSERT_TRUE(queue.submit(0, tester, t, p, 20.0, ignore));
-    ASSERT_TRUE(queue.submit(1, tester, t, p, 20.0, ignore));
+    ASSERT_TRUE(queue.submit(0, probe_job(tester, t, 20.0), ignore));
+    ASSERT_TRUE(queue.submit(1, probe_job(tester, t, 20.0), ignore));
     EXPECT_FALSE(queue.can_submit());
-    // The ring is full until a completion is harvested.
-    EXPECT_FALSE(queue.submit(2, tester, t, p, 20.0, ignore));
+    // The ring is full until a completion is harvested; a rejected job
+    // never runs.
+    EXPECT_FALSE(queue.submit(2, probe_job(tester, t, 20.0), ignore));
     EXPECT_EQ(queue.in_flight(), 2u);
+    EXPECT_EQ(tester.log().total().applications, 2u);
 
     queue.drain();
     EXPECT_EQ(queue.in_flight(), 0u);
     EXPECT_TRUE(queue.can_submit());
-    ASSERT_TRUE(queue.submit(2, tester, t, p, 20.0, ignore));
+    ASSERT_TRUE(queue.submit(2, probe_job(tester, t, 20.0), ignore));
     queue.drain();
     EXPECT_EQ(queue.stats().completed, 3u);
 }
@@ -194,7 +226,6 @@ TEST(AsyncTesterTest, EmulatedLatencyCompletesOutOfOrder) {
     Tester tester(chip, AsyncTester::replica_options(emulated));
     const testgen::Test long_test = sized_test("long", 100);   // 20 ms
     const testgen::Test short_test = sized_test("short", 10);  // 2 ms
-    const Parameter p = Parameter::data_valid_time();
 
     AsyncTesterOptions options;
     options.queue_depth = 2;
@@ -206,8 +237,8 @@ TEST(AsyncTesterTest, EmulatedLatencyCompletesOutOfOrder) {
         if (c.error) std::rethrow_exception(c.error);
         harvest_order.push_back(c.id);
     };
-    ASSERT_TRUE(queue.submit(0, tester, long_test, p, 20.0, record));
-    ASSERT_TRUE(queue.submit(1, tester, short_test, p, 20.0, record));
+    ASSERT_TRUE(queue.submit(0, probe_job(tester, long_test, 20.0), record));
+    ASSERT_TRUE(queue.submit(1, probe_job(tester, short_test, 20.0), record));
     queue.drain();
 
     ASSERT_EQ(harvest_order.size(), 2u);
@@ -216,64 +247,102 @@ TEST(AsyncTesterTest, EmulatedLatencyCompletesOutOfOrder) {
     EXPECT_EQ(queue.stats().reordered, 1u);
 }
 
+TEST(AsyncTesterTest, DeadlineIsSubmitTimePlusLatencyOfTheJobsSeconds) {
+    // One deadline per job: the emulated latency of every tester-second
+    // the job returns, counted from submission — not from when the job
+    // finished, and not per probe.
+    AsyncTesterOptions options;
+    options.latency = LatencyModel(0.0, 0.0, 0.5);
+    AsyncTester queue(options);
+
+    AsyncCompletion seen;
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(queue.submit(
+        3, [] { return 0.04; },
+        [&seen](const AsyncCompletion& c) { seen = c; }));
+    queue.drain();
+    const auto harvested = std::chrono::steady_clock::now();
+
+    EXPECT_EQ(seen.id, 3u);
+    EXPECT_EQ(seen.tester_seconds, 0.04);
+    EXPECT_GE(seen.submitted_at, start);
+    const auto expected = std::chrono::duration_cast<
+        std::chrono::steady_clock::duration>(std::chrono::duration<double>(
+        options.latency.inflight_seconds(0.04)));
+    EXPECT_EQ(seen.deadline - seen.submitted_at, expected);
+    // The completion never ripens before its deadline.
+    EXPECT_GE(harvested, seen.deadline);
+}
+
+TEST(AsyncTesterTest, ThrowingJobReachesItsCallbackAsError) {
+    util::ThreadPool pool(2);
+    AsyncTesterOptions options;
+    options.latency = LatencyModel(0.0, 0.0, 1.0);
+    AsyncTester queue(options, &pool);
+
+    std::map<std::uint64_t, bool> failed;
+    const auto record = [&failed](const AsyncCompletion& c) {
+        failed[c.id] = static_cast<bool>(c.error);
+        if (c.error) {
+            EXPECT_THROW(std::rethrow_exception(c.error), std::runtime_error);
+            EXPECT_EQ(c.tester_seconds, 0.0);
+        }
+    };
+    ASSERT_TRUE(queue.submit(
+        0, []() -> double { throw std::runtime_error("site died"); },
+        record));
+    ASSERT_TRUE(queue.submit(1, [] { return 1e-3; }, record));
+    queue.drain();
+
+    ASSERT_EQ(failed.size(), 2u);
+    EXPECT_TRUE(failed[0]);
+    EXPECT_FALSE(failed[1]);
+}
+
 TEST(AsyncTesterTest, PoolBackedSubmissionsHarvestOnOwnerThread) {
-    device::MemoryTestChip chip({}, noiseless());
-    Tester tester(chip);
+    // One replica per job (a Tester is single-threaded), as the hunt
+    // does; callbacks run on the submitting thread.
+    constexpr std::size_t kJobs = 8;
+    std::vector<std::unique_ptr<device::MemoryTestChip>> chips;
+    std::vector<std::unique_ptr<Tester>> testers;
+    for (std::size_t i = 0; i < kJobs; ++i) {
+        chips.push_back(
+            std::make_unique<device::MemoryTestChip>(device::DieParameters{},
+                                                     noiseless()));
+        testers.push_back(std::make_unique<Tester>(*chips.back()));
+    }
     const testgen::Test t = sized_test("t", 50);
-    const Parameter p = Parameter::data_valid_time();
 
     util::ThreadPool pool(4);
     AsyncTesterOptions options;
-    options.queue_depth = 8;
+    options.queue_depth = kJobs;
     AsyncTester queue(options, &pool);
+    const std::thread::id owner = std::this_thread::get_id();
     std::size_t harvested = 0;
-    for (std::uint64_t i = 0; i < 8; ++i) {
-        ASSERT_TRUE(queue.submit(i, tester, t, p, 20.0,
-                                 [&harvested](const AsyncCompletion& c) {
+    for (std::uint64_t i = 0; i < kJobs; ++i) {
+        ASSERT_TRUE(queue.submit(i, probe_job(*testers[i], t, 20.0),
+                                 [&](const AsyncCompletion& c) {
                                      if (c.error) std::rethrow_exception(c.error);
+                                     EXPECT_EQ(std::this_thread::get_id(),
+                                               owner);
                                      ++harvested;
                                  }));
     }
     while (queue.in_flight() > 0) (void)queue.wait();
-    EXPECT_EQ(harvested, 8u);
-    EXPECT_EQ(tester.log().total().applications, 8u);
-}
-
-TEST(AsyncTesterTest, CallbacksMayResubmitIntoFreedSlot) {
-    // A harvested completion has already freed its ring slot, so a 1:1
-    // follow-up submission from inside the callback never overflows even
-    // at queue_depth 1 — the pattern the optimizer's trip-search drivers
-    // rely on.
-    device::MemoryTestChip chip({}, noiseless());
-    Tester tester(chip);
-    const testgen::Test t = sized_test("t", 20);
-    const Parameter p = Parameter::data_valid_time();
-
-    AsyncTesterOptions options;
-    options.queue_depth = 1;
-    AsyncTester queue(options);
-    std::size_t remaining = 5;
-    AsyncTester::CompletionFn chain = [&](const AsyncCompletion& c) {
-        if (c.error) std::rethrow_exception(c.error);
-        if (--remaining > 0) {
-            ASSERT_TRUE(queue.submit(c.id + 1, tester, t, p, 20.0, chain));
-        }
-    };
-    ASSERT_TRUE(queue.submit(0, tester, t, p, 20.0, chain));
-    queue.drain();
-    EXPECT_EQ(remaining, 0u);
-    EXPECT_EQ(queue.stats().completed, 5u);
+    EXPECT_EQ(harvested, kJobs);
+    for (const auto& tester : testers) {
+        EXPECT_EQ(tester->log().total().applications, 1u);
+    }
 }
 
 TEST(AsyncTesterTest, QuiesceDropsPendingCallbacks) {
     device::MemoryTestChip chip({}, noiseless());
     Tester tester(chip);
     const testgen::Test t = sized_test("t", 20);
-    const Parameter p = Parameter::data_valid_time();
 
     AsyncTester queue({});
     bool invoked = false;
-    ASSERT_TRUE(queue.submit(0, tester, t, p, 20.0,
+    ASSERT_TRUE(queue.submit(0, probe_job(tester, t, 20.0),
                              [&invoked](const AsyncCompletion&) {
                                  invoked = true;
                              }));
@@ -281,8 +350,34 @@ TEST(AsyncTesterTest, QuiesceDropsPendingCallbacks) {
     EXPECT_FALSE(invoked);
     EXPECT_EQ(queue.in_flight(), 0u);
     // The measurement itself still happened (quiesce only drops callbacks
-    // after waiting out the evaluation).
+    // after waiting out the job).
     EXPECT_EQ(tester.log().total().applications, 1u);
+}
+
+TEST(AsyncTesterTest, QuiesceAfterThrowingCallbackWaitsOutRunningJobs) {
+    // A callback that throws unwinds the owner with jobs still running on
+    // the pool; quiesce must wait every one of them out before the state
+    // they borrow dies, and leave the ring empty.
+    util::ThreadPool pool(2);
+    AsyncTesterOptions options;
+    options.queue_depth = 6;
+    AsyncTester queue(options, &pool);
+    std::vector<int> ran(6, 0);
+    for (std::uint64_t i = 0; i < 6; ++i) {
+        ASSERT_TRUE(queue.submit(
+            i,
+            [&ran, i] {
+                ran[i] = 1;
+                return 0.0;
+            },
+            [](const AsyncCompletion&) {
+                throw std::runtime_error("callback failed");
+            }));
+    }
+    EXPECT_THROW(queue.drain(), std::runtime_error);
+    queue.quiesce();
+    EXPECT_EQ(queue.in_flight(), 0u);
+    for (const int r : ran) EXPECT_EQ(r, 1);
 }
 
 TEST(AsyncTesterTest, ReplicaOptionsStripOnlyTheEmulation) {
@@ -299,15 +394,13 @@ TEST(AsyncTesterTest, ReplicaOptionsStripOnlyTheEmulation) {
 // ---------------------------------------------------------------------
 // SharedRingCredits: a lot-wide in-flight budget donated between rings.
 // Every ring keeps a guaranteed floor of one submission; depth beyond the
-// floor borrows from the shared pool and is returned when the ring
-// drains, idles, or quiesces.
+// floor borrows from the shared pool and is returned when its request is
+// harvested, or when the ring idles or quiesces.
 
 TEST(SharedRingCredits, FloorGuaranteesOneSubmissionPerRing) {
     device::MemoryTestChip chip({}, noiseless());
     Tester tester(chip);
     const testgen::Test t = sized_test("t", 20);
-    const Parameter p = Parameter::data_valid_time();
-    const auto ignore = [](const AsyncCompletion&) {};
 
     SharedRingCredits credits(0);  // nothing donatable: floors only
     AsyncTesterOptions options;
@@ -316,11 +409,11 @@ TEST(SharedRingCredits, FloorGuaranteesOneSubmissionPerRing) {
     AsyncTester a(options);
     AsyncTester b(options);
 
-    ASSERT_TRUE(a.submit(0, tester, t, p, 20.0, ignore));  // a's floor
+    ASSERT_TRUE(a.submit(0, probe_job(tester, t, 20.0), ignore));  // a's floor
     EXPECT_FALSE(a.can_submit());
-    EXPECT_FALSE(a.submit(1, tester, t, p, 20.0, ignore));
+    EXPECT_FALSE(a.submit(1, probe_job(tester, t, 20.0), ignore));
     // An exhausted pool never starves a sibling ring of its floor.
-    ASSERT_TRUE(b.submit(0, tester, t, p, 20.0, ignore));
+    ASSERT_TRUE(b.submit(0, probe_job(tester, t, 20.0), ignore));
     EXPECT_FALSE(b.can_submit());
 
     a.drain();
@@ -332,8 +425,6 @@ TEST(SharedRingCredits, IdleRingDonatesDepthToBusySibling) {
     device::MemoryTestChip chip({}, noiseless());
     Tester tester(chip);
     const testgen::Test t = sized_test("t", 20);
-    const Parameter p = Parameter::data_valid_time();
-    const auto ignore = [](const AsyncCompletion&) {};
 
     SharedRingCredits credits(2);
     AsyncTesterOptions options;
@@ -343,59 +434,24 @@ TEST(SharedRingCredits, IdleRingDonatesDepthToBusySibling) {
     AsyncTester idle(options);
 
     // The busy ring takes its floor plus the whole donatable budget.
-    ASSERT_TRUE(busy.submit(0, tester, t, p, 20.0, ignore));
-    ASSERT_TRUE(busy.submit(1, tester, t, p, 20.0, ignore));
-    ASSERT_TRUE(busy.submit(2, tester, t, p, 20.0, ignore));
+    ASSERT_TRUE(busy.submit(0, probe_job(tester, t, 20.0), ignore));
+    ASSERT_TRUE(busy.submit(1, probe_job(tester, t, 20.0), ignore));
+    ASSERT_TRUE(busy.submit(2, probe_job(tester, t, 20.0), ignore));
     EXPECT_EQ(credits.available(), 0u);
-    EXPECT_FALSE(busy.submit(3, tester, t, p, 20.0, ignore));
+    EXPECT_FALSE(busy.submit(3, probe_job(tester, t, 20.0), ignore));
 
     // The idle ring still holds its floor, but nothing beyond it.
-    ASSERT_TRUE(idle.submit(0, tester, t, p, 20.0, ignore));
+    ASSERT_TRUE(idle.submit(0, probe_job(tester, t, 20.0), ignore));
     EXPECT_FALSE(idle.can_submit());
 
     // Draining the busy ring returns the borrowed depth to the pool...
     busy.drain();
     EXPECT_EQ(credits.available(), 2u);
     // ...where the other ring can now borrow it.
-    ASSERT_TRUE(idle.submit(1, tester, t, p, 20.0, ignore));
-    ASSERT_TRUE(idle.submit(2, tester, t, p, 20.0, ignore));
+    ASSERT_TRUE(idle.submit(1, probe_job(tester, t, 20.0), ignore));
+    ASSERT_TRUE(idle.submit(2, probe_job(tester, t, 20.0), ignore));
     idle.drain();
     EXPECT_EQ(credits.available(), 2u);
-}
-
-TEST(SharedRingCredits, CallbackResubmissionNeverFailsForCredit) {
-    // The 1:1 resubmission guarantee must survive sharing: a harvested
-    // request's credit is held through the callback phase, so a chained
-    // search never loses its slot to a sibling ring mid-callback.
-    device::MemoryTestChip chip({}, noiseless());
-    Tester tester(chip);
-    const testgen::Test t = sized_test("t", 20);
-    const Parameter p = Parameter::data_valid_time();
-
-    SharedRingCredits credits(1);
-    AsyncTesterOptions options;
-    options.queue_depth = 2;
-    options.shared_credits = &credits;
-    AsyncTester queue(options);
-
-    int completions = 0;
-    int failed_resubmits = 0;
-    std::function<void(const AsyncCompletion&)> chain =
-        [&](const AsyncCompletion& c) {
-            ++completions;
-            if (completions < 20) {
-                if (!queue.submit(c.id + 100, tester, t, p, 20.0, chain)) {
-                    ++failed_resubmits;
-                }
-            }
-        };
-    ASSERT_TRUE(queue.submit(0, tester, t, p, 20.0, chain));  // floor
-    ASSERT_TRUE(queue.submit(1, tester, t, p, 20.0, chain));  // credit
-    queue.drain();
-
-    EXPECT_EQ(failed_resubmits, 0);
-    EXPECT_GE(completions, 20);
-    EXPECT_EQ(credits.available(), 1u);  // all borrowed depth returned
 }
 
 TEST(SharedRingCredits, CanSubmitReservesACreditForTheAskingRing) {
@@ -405,8 +461,6 @@ TEST(SharedRingCredits, CanSubmitReservesACreditForTheAskingRing) {
     device::MemoryTestChip chip({}, noiseless());
     Tester tester(chip);
     const testgen::Test t = sized_test("t", 20);
-    const Parameter p = Parameter::data_valid_time();
-    const auto ignore = [](const AsyncCompletion&) {};
 
     SharedRingCredits credits(1);
     AsyncTesterOptions options;
@@ -415,11 +469,11 @@ TEST(SharedRingCredits, CanSubmitReservesACreditForTheAskingRing) {
     AsyncTester a(options);
     AsyncTester b(options);
 
-    ASSERT_TRUE(a.submit(0, tester, t, p, 20.0, ignore));  // a's floor
-    ASSERT_TRUE(b.submit(0, tester, t, p, 20.0, ignore));  // b's floor
+    ASSERT_TRUE(a.submit(0, probe_job(tester, t, 20.0), ignore));  // a's floor
+    ASSERT_TRUE(b.submit(0, probe_job(tester, t, 20.0), ignore));  // b's floor
     EXPECT_TRUE(a.can_submit());   // caches the pool's only credit
     EXPECT_FALSE(b.can_submit());  // the sibling cannot steal it
-    ASSERT_TRUE(a.submit(1, tester, t, p, 20.0, ignore));  // promise kept
+    ASSERT_TRUE(a.submit(1, probe_job(tester, t, 20.0), ignore));  // promise kept
 
     a.drain();
     b.drain();
@@ -430,8 +484,6 @@ TEST(SharedRingCredits, QuiesceReturnsEveryBorrowedCredit) {
     device::MemoryTestChip chip({}, noiseless());
     Tester tester(chip);
     const testgen::Test t = sized_test("t", 20);
-    const Parameter p = Parameter::data_valid_time();
-    const auto ignore = [](const AsyncCompletion&) {};
 
     SharedRingCredits credits(3);
     AsyncTesterOptions options;
@@ -439,10 +491,10 @@ TEST(SharedRingCredits, QuiesceReturnsEveryBorrowedCredit) {
     options.shared_credits = &credits;
     AsyncTester queue(options);
 
-    ASSERT_TRUE(queue.submit(0, tester, t, p, 20.0, ignore));
-    ASSERT_TRUE(queue.submit(1, tester, t, p, 20.0, ignore));
-    ASSERT_TRUE(queue.submit(2, tester, t, p, 20.0, ignore));
-    ASSERT_TRUE(queue.submit(3, tester, t, p, 20.0, ignore));
+    ASSERT_TRUE(queue.submit(0, probe_job(tester, t, 20.0), ignore));
+    ASSERT_TRUE(queue.submit(1, probe_job(tester, t, 20.0), ignore));
+    ASSERT_TRUE(queue.submit(2, probe_job(tester, t, 20.0), ignore));
+    ASSERT_TRUE(queue.submit(3, probe_job(tester, t, 20.0), ignore));
     EXPECT_EQ(credits.available(), 0u);
 
     queue.quiesce();  // drops pending callbacks, must not drop credits
@@ -455,14 +507,12 @@ TEST(SharedRingCredits, UnsharedRingIsUnaffectedBySiblingPools) {
     device::MemoryTestChip chip({}, noiseless());
     Tester tester(chip);
     const testgen::Test t = sized_test("t", 20);
-    const Parameter p = Parameter::data_valid_time();
-    const auto ignore = [](const AsyncCompletion&) {};
 
     AsyncTesterOptions options;
     options.queue_depth = 2;
     AsyncTester queue(options);
-    ASSERT_TRUE(queue.submit(0, tester, t, p, 20.0, ignore));
-    ASSERT_TRUE(queue.submit(1, tester, t, p, 20.0, ignore));
+    ASSERT_TRUE(queue.submit(0, probe_job(tester, t, 20.0), ignore));
+    ASSERT_TRUE(queue.submit(1, probe_job(tester, t, 20.0), ignore));
     EXPECT_FALSE(queue.can_submit());  // bounded by the ring alone
     queue.drain();
     EXPECT_EQ(queue.stats().completed, 2u);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace cichar::ate {
 namespace {
 
@@ -115,6 +118,20 @@ TEST(MeasurementLogMergeTest, SaveLoadRoundTripAfterMerge) {
     EXPECT_EQ(loaded.report(), a.report());
     EXPECT_EQ(loaded.total().applications, a.total().applications);
     EXPECT_DOUBLE_EQ(loaded.total().tester_seconds, a.total().tester_seconds);
+}
+
+TEST(MeasurementLogMergeTest, LoadRefusesForgedPhaseCount) {
+    // A phase count larger than the bytes left could hold is refused
+    // before any phase is read, and the target log keeps its state.
+    const MeasurementLog original = make_log({{"ga", 5}});
+    std::string bytes;
+    util::put_string(bytes, "ga");
+    util::put_u64(bytes, 1ULL << 40);
+    bytes.append(64, '\0');
+    MeasurementLog loaded = original;
+    util::ByteReader in(bytes);
+    EXPECT_THROW(loaded.load(in), std::runtime_error);
+    EXPECT_EQ(loaded.report(), original.report());
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
-// The async pipeline's determinism contract: with `inflight > 1` the
-// hunt overlaps chromosome decoding and scoring with pending tester
-// requests, yet the rendered report, the measurement ledger, the final
-// checkpoint blob and the persisted trip-cache file must be
-// byte-identical to the blocking replica path at any jobs x inflight
-// combination — including a hunt killed with requests in flight and
+// The fitness engine's determinism contract: the hunt overlaps chromosome
+// decoding with whole-slot measurements pending on the completion queue,
+// yet the rendered report, the measurement ledger, the final checkpoint
+// blob and the persisted trip-cache file must be byte-identical at any
+// jobs x inflight combination — with fault injection and the measurement
+// policy on too, and including a hunt killed with requests in flight and
 // resumed under a different inflight depth.
 #include <cstdio>
 #include <fstream>
@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ate/fault_injector.hpp"
 #include "core/optimizer.hpp"
 #include "core/report.hpp"
 #include "device/memory_chip.hpp"
@@ -28,10 +29,12 @@ device::MemoryChipOptions noiseless() {
 struct HuntConfig {
     std::size_t jobs = 1;
     std::size_t inflight = 1;
-    /// Warm replica slab size (kAutoSlab = jobs x inflight, 0 = cold
+    /// Warm replica slab size (kAutoSlab = the admission window, 0 = cold
     /// clones) — a pure perf knob the identity matrix sweeps too.
     std::size_t replica_slab = HuntParallelOptions::kAutoSlab;
     double realtime_fraction = 0.0;
+    /// Fault injection with the measurement policy riding along.
+    bool faults = false;
     std::string cache_file;
     std::string resume_blob;
     std::size_t abort_after_generation = 0;
@@ -59,7 +62,18 @@ OptimizerOptions hunt_options(const HuntConfig& config) {
     opts.cache.file = config.cache_file;
     opts.checkpoint.resume_blob = config.resume_blob;
     opts.checkpoint.abort_after_generation = config.abort_after_generation;
+    opts.trip.policy.enabled = config.faults;
     return opts;
+}
+
+ate::FaultProfile fault_profile() {
+    ate::FaultProfile profile;
+    profile.transient_rate = 0.02;
+    profile.transient_span_fraction = 0.2;
+    profile.timeout_rate = 0.005;
+    profile.stuck_rate = 0.002;
+    profile.seed = 7;
+    return profile;
 }
 
 HuntResult run_hunt(const HuntConfig& config) {
@@ -73,6 +87,9 @@ HuntResult run_hunt(const HuntConfig& config) {
     ate::TesterOptions tester_options;
     tester_options.realtime_fraction = config.realtime_fraction;
     ate::Tester tester(chip, tester_options);
+    ate::FaultInjector injector(config.faults ? fault_profile()
+                                              : ate::FaultProfile::none());
+    if (config.faults) tester.attach_fault_injector(&injector);
     util::Rng rng(2005);
     testgen::RandomGeneratorOptions generator;
     generator.condition_bounds = testgen::ConditionBounds::fixed_nominal();
@@ -126,6 +143,8 @@ void expect_identical(const HuntResult& actual, const HuntResult& reference,
     EXPECT_EQ(actual.report.cache_stats.hits, reference.report.cache_stats.hits);
     EXPECT_EQ(actual.report.cache_stats.misses,
               reference.report.cache_stats.misses);
+    EXPECT_EQ(actual.report.faults, reference.report.faults);
+    EXPECT_EQ(actual.report.injected, reference.report.injected);
     EXPECT_EQ(actual.rendered, reference.rendered);
     EXPECT_EQ(actual.applications, reference.applications);
     if (compare_checkpoint) {
@@ -136,7 +155,7 @@ void expect_identical(const HuntResult& actual, const HuntResult& reference,
 TEST(AsyncHuntDeterminismTest, ByteIdenticalAcrossJobsAndInflight) {
     HuntConfig reference_config;
     reference_config.jobs = 1;
-    reference_config.inflight = 1;  // blocking replica path
+    reference_config.inflight = 1;
     reference_config.cache_file = fresh_cache_path("ref");
     const HuntResult reference = run_hunt(reference_config);
     ASSERT_FALSE(reference.last_checkpoint.empty());
@@ -163,10 +182,70 @@ TEST(AsyncHuntDeterminismTest, ByteIdenticalAcrossJobsAndInflight) {
     }
 }
 
+TEST(AsyncHuntDeterminismTest, FaultPolicyByteIdenticalAcrossJobsAndInflight) {
+    // Fault forcing and the policy's screen/retry/majority-confirm flows
+    // run inside the slot's job, so they ride the queue at the configured
+    // depth like any other measurement — nothing falls back.
+    HuntConfig reference_config;
+    reference_config.faults = true;
+    reference_config.cache_file = fresh_cache_path("fault_ref");
+    const HuntResult reference = run_hunt(reference_config);
+    ASSERT_FALSE(reference.last_checkpoint.empty());
+    EXPECT_GT(reference.report.injected.injected(), 0u);
+    EXPECT_GT(reference.report.faults.interventions(), 0u);
+    const std::string reference_cache = slurp(reference_config.cache_file);
+
+    for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+        for (const std::size_t inflight : {std::size_t{1}, std::size_t{16}}) {
+            HuntConfig config;
+            config.faults = true;
+            config.jobs = jobs;
+            config.inflight = inflight;
+            config.cache_file = fresh_cache_path(
+                "fault_j" + std::to_string(jobs) + "i" +
+                std::to_string(inflight));
+            const HuntResult run = run_hunt(config);
+            SCOPED_TRACE("jobs=" + std::to_string(jobs) +
+                         " inflight=" + std::to_string(inflight));
+            expect_identical(run, reference);
+            EXPECT_EQ(run.report.inflight, inflight);
+            EXPECT_EQ(slurp(config.cache_file), reference_cache);
+        }
+    }
+}
+
+TEST(AsyncHuntDeterminismTest, FaultPolicyKillAndResumeAcrossInflightDepths) {
+    // Killed at depth 16 with fault/policy jobs in flight, resumed at
+    // depth 4: the injector and policy state in the checkpoint carry over
+    // and the hunt finishes byte-identical to an uninterrupted run.
+    HuntConfig reference_config;
+    reference_config.faults = true;
+    reference_config.jobs = 2;
+    const HuntResult reference = run_hunt(reference_config);
+
+    HuntConfig abort_config;
+    abort_config.faults = true;
+    abort_config.jobs = 2;
+    abort_config.inflight = 16;
+    abort_config.abort_after_generation = 3;
+    const HuntResult aborted = run_hunt(abort_config);
+    EXPECT_TRUE(aborted.report.aborted);
+    ASSERT_FALSE(aborted.last_checkpoint.empty());
+
+    HuntConfig resume_config;
+    resume_config.faults = true;
+    resume_config.jobs = 2;
+    resume_config.inflight = 4;
+    resume_config.resume_blob = aborted.last_checkpoint;
+    const HuntResult resumed = run_hunt(resume_config);
+    EXPECT_FALSE(resumed.report.aborted);
+    expect_identical(resumed, reference, /*compare_checkpoint=*/false);
+}
+
 TEST(AsyncHuntDeterminismTest, ByteIdenticalAcrossReplicaSlabSizes) {
     // The slab dimension of the identity matrix: forced cold clones
     // (slab 0), a deliberately undersized slab (2: recycles + transient
-    // misses), and a roomy one (8) must all match the blocking cold-clone
+    // misses), and a roomy one (8) must all match the depth-1 cold-clone
     // reference — at inflight 1 and 16, jobs 1 and 4.
     HuntConfig reference_config;
     reference_config.jobs = 1;
@@ -202,11 +281,11 @@ TEST(AsyncHuntDeterminismTest, ByteIdenticalAcrossReplicaSlabSizes) {
 }
 
 TEST(AsyncHuntDeterminismTest, KillAndResumeAcrossInflightDepths) {
-    // Kill the async hunt with requests pending at snapshot time, then
+    // Kill the hunt with requests pending at snapshot time, then
     // resume under a *different* inflight depth: the checkpoint
     // fingerprint deliberately excludes inflight (drain-before-checkpoint
     // means the blob never holds queue state), so the resumed hunt must
-    // still finish byte-identical to an uninterrupted blocking run.
+    // still finish byte-identical to an uninterrupted depth-1 run.
     HuntConfig reference_config;
     reference_config.jobs = 2;
     reference_config.inflight = 1;
@@ -264,12 +343,12 @@ TEST(AsyncHuntDeterminismTest, KillAndResumeAcrossSlabSizes) {
 
 TEST(AsyncHuntDeterminismTest, EmulatedLatencyDoesNotChangeResults) {
     // A small nonzero realtime_fraction exercises the deadline machinery
-    // (the blocking path sleeps inline, the async path schedules
-    // completion deadlines); neither may perturb the hunt.
-    HuntConfig blocking;
-    blocking.jobs = 2;
-    blocking.inflight = 1;
-    const HuntResult reference = run_hunt(blocking);
+    // (each slot's completion ripens at its submit time plus the emulated
+    // latency of its probes); it may not perturb the hunt.
+    HuntConfig reference_config;
+    reference_config.jobs = 2;
+    reference_config.inflight = 1;
+    const HuntResult reference = run_hunt(reference_config);
 
     HuntConfig emulated;
     emulated.jobs = 2;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -220,6 +221,37 @@ TEST(MultiPopulationTest, OnGenerationObservesEveryGeneration) {
     const MultiPopulationGa driver(opts);
     (void)driver.run(as_batch(hill), {}, rng, hooks);
     EXPECT_EQ(seen, (std::vector<std::size_t>{1, 2, 3, 4, 5}));
+}
+
+TEST(MultiPopulationTest, CheckpointLoadRefusesForgedPopulationCount) {
+    std::string blob;
+    util::put_u64(blob, 1ULL << 40);
+    blob.append(256, '\0');
+    util::ByteReader reader(blob);
+    EXPECT_THROW((void)MultiPopulationCheckpoint::load(
+                     reader, small_options().population),
+                 std::runtime_error);
+}
+
+TEST(MultiPopulationTest, OutcomeLoadRefusesForgedHistoryLength) {
+    // A forged history length is refused before reserving for it (it
+    // used to reserve up to 128 MiB first).
+    MultiPopulationOutcome outcome;
+    outcome.best_history = {0.5, 0.75};
+    std::string blob;
+    outcome.save(blob);
+    // The history count sits just before the two saved values.
+    const std::size_t count_at = blob.size() - 2 * 8 - 8;
+    std::string forged = blob.substr(0, count_at);
+    util::put_u64(forged, 1ULL << 40);
+    forged.append(blob.substr(count_at + 8));
+    util::ByteReader reader(forged);
+    EXPECT_THROW((void)MultiPopulationOutcome::load(reader),
+                 std::runtime_error);
+
+    util::ByteReader intact(blob);
+    EXPECT_EQ(MultiPopulationOutcome::load(intact).best_history,
+              outcome.best_history);
 }
 
 }  // namespace

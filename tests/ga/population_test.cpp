@@ -252,5 +252,16 @@ TEST(PopulationTest, LoadRejectsTruncatedBlob) {
                  std::runtime_error);
 }
 
+TEST(PopulationTest, LoadRefusesForgedIndividualCount) {
+    // The count must fit in the bytes left at one saved individual each,
+    // so a forged count fails before a multi-gigabyte reserve.
+    std::string blob;
+    util::put_u64(blob, 1ULL << 40);
+    blob.append(256, '\0');
+    util::ByteReader reader(blob);
+    EXPECT_THROW((void)Population::load(reader, small_options()),
+                 std::runtime_error);
+}
+
 }  // namespace
 }  // namespace cichar::ga

@@ -95,7 +95,7 @@ TEST(TelemetryIdentityTest, HuntReportIdenticalTelemetryOnVsOff) {
 }
 
 TEST(TelemetryIdentityTest, AsyncHuntReportIdenticalTelemetryOnVsOff) {
-    // The async pipeline's queue metrics (in-flight gauge, wait histogram,
+    // The completion queue's metrics (in-flight gauge, wait histogram,
     // reorder counter) must be as contractually invisible as the rest of
     // the registry.
     const std::string off = with_telemetry(false, [&] {

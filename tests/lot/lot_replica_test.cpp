@@ -51,7 +51,7 @@ LotRun run_lot(const LotOptions& options) {
 }
 
 TEST(LotReplicaTest, ReportByteIdenticalAcrossDepthJobsSlabAndSharing) {
-    // Blocking replicas on one worker: the reference discipline.
+    // Depth 1 on one worker: the reference discipline.
     const LotRun reference = run_lot(replica_lot(3, 1, 1));
 
     struct Config {
@@ -66,7 +66,7 @@ TEST(LotReplicaTest, ReportByteIdenticalAcrossDepthJobsSlabAndSharing) {
         {4, 16, core::HuntParallelOptions::kAutoSlab, false},  // ablation
         {4, 16, 0, true},  // cold clones through the shared ring
         {2, 4, 8, true},
-        {4, 1, 2, true},  // blocking replicas on four workers
+        {4, 1, 2, true},  // depth 1 on four workers
     };
     for (const Config& config : configs) {
         LotOptions options = replica_lot(3, config.jobs, config.inflight);

@@ -10,6 +10,7 @@
 
 #include "lot/lot_report.hpp"
 #include "lot/lot_runner.hpp"
+#include "util/binio.hpp"
 
 namespace cichar::lot {
 namespace {
@@ -120,6 +121,32 @@ TEST(LotResilienceTest, DeadSitesDegradeGracefully) {
     }
 }
 
+TEST(LotResilienceTest, DeadSitesMatchAcrossInflightDepths) {
+    // Site deaths fire inside the replica measurement jobs; a deeper ring
+    // only overlaps them, so every site dies (or survives) with the same
+    // fired faults at depth 1 and depth 8.
+    LotOptions options = faulted_lot(4, 2);
+    options.faults.site_death_rate = 0.002;
+    options.faults.seed = 5;
+    options.inflight = 1;
+    const LotResult shallow = LotRunner(options).run();
+    options.inflight = 8;
+    const LotResult deep = LotRunner(options).run();
+
+    ASSERT_EQ(shallow.sites.size(), deep.sites.size());
+    std::size_t dead = 0;
+    for (std::size_t s = 0; s < shallow.sites.size(); ++s) {
+        SCOPED_TRACE("site " + std::to_string(s));
+        EXPECT_EQ(shallow.sites[s].status, deep.sites[s].status);
+        EXPECT_EQ(shallow.sites[s].injected, deep.sites[s].injected);
+        EXPECT_EQ(shallow.sites[s].faults, deep.sites[s].faults);
+        if (shallow.sites[s].status == SiteStatus::kDead) ++dead;
+    }
+    EXPECT_GT(dead, 0u) << "death rate chosen to kill at least one site";
+    EXPECT_EQ(LotReport::build(shallow).render(),
+              LotReport::build(deep).render());
+}
+
 TEST(LotResilienceTest, AllSitesDeadStillEmitsReport) {
     LotOptions options = faulted_lot(2, 1);
     options.faults.site_death_rate = 0.2;  // nothing survives this
@@ -185,6 +212,26 @@ TEST(LotResilienceTest, StopAndGoResumeMatchesUninterruptedLot) {
         EXPECT_EQ(second.result.sites[s].injected,
                   reference.result.sites[s].injected);
     }
+}
+
+TEST(LotResilienceTest, ShardPayloadRefusesForgedCounts) {
+    // Site and per-site outcome counts are bounded by the bytes left, so
+    // a forged count fails before anything is reserved for it.
+    std::string forged_sites;
+    util::put_u64(forged_sites, 1ULL << 40);
+    forged_sites.append(512, '\0');
+    EXPECT_THROW((void)decode_finished_sites(forged_sites),
+                 std::runtime_error);
+
+    SiteResult site;
+    site.site = 3;
+    site.status = SiteStatus::kDead;
+    std::string payload = encode_finished_sites({site});
+    ASSERT_EQ(decode_finished_sites(payload).size(), 1u);
+    // A dead site has no outcomes: its count is the payload's last word.
+    payload.resize(payload.size() - 8);
+    util::put_u64(payload, 1ULL << 40);
+    EXPECT_THROW((void)decode_finished_sites(payload), std::runtime_error);
 }
 
 TEST(LotResilienceTest, PartialLotReportThrows) {

@@ -9,9 +9,10 @@
 //       full Fig.4 + Fig.5 worst-case hunt; optionally persist artifacts.
 //       --jobs J trains the committee and measures GA fitness on J
 //       worker threads (replica evaluation, byte-identical at any J);
-//       --inflight D > 1 pipelines D trip searches through the async
-//       submission/completion queue, overlapping decode + scoring with
-//       in-flight measurements (byte-identical at any jobs x inflight);
+//       --inflight D keeps D fitness slots per worker in flight on the
+//       measurement completion queue, overlapping decode with pending
+//       measurements and emulated tester latency (byte-identical at any
+//       jobs x inflight, fault profile and policy included);
 //       --batch B sets candidates per batched committee pass in NN
 //       seeding (results identical at any B); --cache memoizes trip
 //       points of duplicated GA individuals; --cache-file persists that
@@ -26,10 +27,10 @@
 //              [--report FILE]
 //       multi-site lot characterization: full campaign per sampled die,
 //       sites run in parallel, lot-level aggregation + fused spec;
-//       --inflight D (>= 1, default 1) pools the in-flight budget of the
-//       sites' replica hunts lot-wide through one shared measurement
-//       ring (idle sites donate depth to busy ones; byte-identical at
-//       any D x jobs x slab size)
+//       --inflight D (>= 1, default 1) pools the in-flight fitness slots
+//       of the sites' replica hunts lot-wide through one shared
+//       measurement ring (idle sites donate depth to busy ones;
+//       byte-identical at any D x jobs x slab size)
 //   cichar pattern --march NAME --out FILE | --info FILE
 //       export deterministic patterns as ATE vector files / inspect one
 #include <atomic>
@@ -111,7 +112,7 @@ int usage() {
         "              [--heartbeat-timeout S] [--max-parallel N]\n"
         "              [--kill-shard K]]\n"
         "      --inflight D (>= 1, default 1) pools D lot-wide in-flight\n"
-        "      trip searches across sites (byte-identical at any D);\n"
+        "      fitness slots across sites (byte-identical at any D);\n"
         "      --shared-ring off gives each site a private ring instead\n"
         "      (ablation);\n"
         "      --replica-slab sizes the per-hunt warm replica pool.\n"
@@ -404,15 +405,17 @@ int cmd_hunt(const Args& args) {
     const auto jobs = static_cast<std::size_t>(args.get_u64("jobs", 1));
     options.learner.committee.jobs = jobs;
     options.optimizer.parallel.jobs = jobs;
-    // --inflight D: trip searches kept in flight per fitness batch. D > 1
-    // switches replica evaluation to the async submission/completion
-    // queue. Reports, checkpoints, and caches stay byte-identical at any
-    // jobs x inflight combination, so neither enters the fingerprint and
-    // a checkpoint resumes across both.
+    // --inflight D: fitness slots kept in flight per worker on the
+    // measurement completion queue; under emulated tester latency each
+    // slot's wait is one completion deadline, so a deeper window hides
+    // more of it. Reports, checkpoints, and caches stay byte-identical at
+    // any jobs x inflight combination (fault profile and policy
+    // included), so neither enters the fingerprint and a checkpoint
+    // resumes across both.
     options.optimizer.parallel.inflight =
         static_cast<std::size_t>(args.get_u64("inflight", 1));
-    // --replica-slab N: warm replica pool for the parallel hunt ("auto"
-    // sizes it jobs x inflight; 0 forces a cold clone per fitness slot).
+    // --replica-slab N: warm replica pool for the hunt ("auto" sizes it
+    // to the admission window; 0 forces a cold clone per fitness slot).
     // Pure throughput knob — results, checkpoints, and caches are
     // byte-identical at any size, so it never enters the fingerprint.
     if (args.has("replica-slab") && args.get("replica-slab") != "auto") {
