@@ -27,7 +27,10 @@
 // is not slower than inflight 1 at fraction 0 — a deeper window must be
 // free when there is no latency to hide — and (b) the warm slab is not
 // slower than forced cold clones on the same workload (ratio ~= 1.0:
-// recycling must never cost wall clock).
+// recycling must never cost wall clock). Both comparisons run their two
+// configurations interleaved rep by rep and gate on the median of the
+// paired ratios.
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -72,12 +75,13 @@ struct HuntRun {
     std::string rendered;
 };
 
-HuntRun run_hunt(std::size_t inflight, double realtime_fraction) {
+HuntRun run_hunt(std::size_t inflight, double realtime_fraction,
+                 std::uint64_t seed = kSeed) {
     ate::TesterOptions tester_options;
     tester_options.realtime_fraction = realtime_fraction;
     bench::Rig rig({}, {}, tester_options);
     const ate::Parameter param = ate::Parameter::data_valid_time();
-    util::Rng rng(kSeed);
+    util::Rng rng(seed);
     const core::WorstCaseOptimizer optimizer(hunt_options(inflight));
 
     HuntRun run;
@@ -86,7 +90,7 @@ HuntRun run_hunt(std::size_t inflight, double realtime_fraction) {
                                         core::objective_for(param), rng);
     core::ReportInputs inputs;
     inputs.device_name = "bench-async";
-    inputs.seed = kSeed;
+    inputs.seed = seed;
     inputs.hunt = &run.report;
     inputs.ledger = &rig.tester.log();
     run.rendered = core::render_report(inputs);
@@ -200,18 +204,80 @@ void print_slab_audit() {
         "vectors persist across generations.\n");
 }
 
+// One quick-smoke rep: the no-latency hunt at kQuickSeeds consecutive
+// seeds, so a rep lasts >= ~50 ms (4-CPU x86-64 host, Release) and a
+// scheduler hiccup on a shared host is small against it. Returns the
+// reports, concatenated.
+constexpr std::uint64_t kQuickSeeds = 10;
+constexpr std::size_t kQuickReps = 9;
+
+std::string run_quick_rep(std::size_t inflight) {
+    std::string rendered;
+    for (std::uint64_t i = 0; i < kQuickSeeds; ++i) {
+        rendered += run_hunt(inflight, 0.0, kSeed + i).rendered;
+    }
+    return rendered;
+}
+
+// Times two configurations rep by rep, alternating which one runs first,
+// so a burst of other load on a shared host lands on both sides of a
+// pair instead of deciding a whole block. The gate statistic is the
+// median of the per-rep b/a wall ratios.
+struct PairedTiming {
+    bench::TimedRuns a;
+    bench::TimedRuns b;
+    double ratio = 1.0;
+};
+
+template <typename FnA, typename FnB>
+PairedTiming time_interleaved(std::size_t reps, FnA&& run_a, FnB&& run_b) {
+    using Clock = std::chrono::steady_clock;
+    const auto timed = [](auto&& fn) {
+        const Clock::time_point start = Clock::now();
+        fn();
+        return std::chrono::duration<double>(Clock::now() - start).count();
+    };
+    run_a();  // warm-up
+    run_b();
+    PairedTiming timing;
+    bench::TimedRuns ratios;
+    for (std::size_t i = 0; i < reps; ++i) {
+        double a = 0.0;
+        double b = 0.0;
+        if (i % 2 == 0) {
+            a = timed(run_a);
+            b = timed(run_b);
+        } else {
+            b = timed(run_b);
+            a = timed(run_a);
+        }
+        timing.a.seconds.push_back(a);
+        timing.b.seconds.push_back(b);
+        ratios.seconds.push_back(a > 0.0 ? b / a : 1.0);
+    }
+    timing.ratio = ratios.median();
+    return timing;
+}
+
+void print_timing(const char* label, const bench::TimedRuns& runs) {
+    std::printf("%s: median %.3f s, min %.3f s over %zu runs\n", label,
+                runs.median(), runs.min(), runs.seconds.size());
+}
+
 int run_quick() {
     // CI smoke: with no latency to hide, a deeper in-flight window must
     // not cost wall clock (20% noise margin for shared runners) and the
     // report must stay byte-identical.
-    const TimedConfig shallow =
-        time_config("inflight 1 (fraction 0)", 1, 0.0, 3);
-    const TimedConfig deep =
-        time_config("inflight 16 (fraction 0)", kInflight, 0.0, 3);
-    const bool identical = deep.last.rendered == shallow.last.rendered;
-    const double ratio =
-        shallow.median > 0.0 ? deep.median / shallow.median : 1.0;
-    std::printf("inflight 16 / inflight 1 wall ratio: %.2f "
+    std::string shallow_rendered;
+    std::string deep_rendered;
+    const PairedTiming inflight = time_interleaved(
+        kQuickReps, [&] { shallow_rendered = run_quick_rep(1); },
+        [&] { deep_rendered = run_quick_rep(kInflight); });
+    print_timing("inflight 1 (fraction 0)", inflight.a);
+    print_timing("inflight 16 (fraction 0)", inflight.b);
+    const bool identical = deep_rendered == shallow_rendered;
+    const double ratio = inflight.ratio;
+    std::printf("inflight 16 / inflight 1 wall ratio (paired median): %.2f "
                 "(target <= 1.20): %s\n",
                 ratio, ratio <= 1.20 ? "PASS" : "FAIL");
     std::printf("report identical: %s\n", identical ? "PASS" : "FAIL");
@@ -219,13 +285,17 @@ int run_quick() {
     // Warm-slab overhead gate: recycling replicas must never cost wall
     // clock relative to forced cold clones (same noise margin), and the
     // slab must be invisible in the report bytes.
-    const TimedConfig cold = time_slab("cold clones (slab 0)", 0, 3);
-    const TimedConfig warm =
-        time_slab("warm slab (auto)", core::HuntParallelOptions::kAutoSlab, 3);
-    const bool slab_identical = warm.last.rendered == cold.last.rendered;
-    const double slab_ratio =
-        cold.median > 0.0 ? warm.median / cold.median : 1.0;
-    std::printf("warm/cold wall ratio: %.2f (target <= 1.20): %s\n",
+    HuntRun cold;
+    HuntRun warm;
+    const PairedTiming slab = time_interleaved(
+        3, [&] { cold = run_slab_hunt(0); },
+        [&] { warm = run_slab_hunt(core::HuntParallelOptions::kAutoSlab); });
+    print_timing("cold clones (slab 0)", slab.a);
+    print_timing("warm slab (auto)", slab.b);
+    const bool slab_identical = warm.rendered == cold.rendered;
+    const double slab_ratio = slab.ratio;
+    std::printf("warm/cold wall ratio (paired median): %.2f (target <= "
+                "1.20): %s\n",
                 slab_ratio, slab_ratio <= 1.20 ? "PASS" : "FAIL");
     std::printf("slab report identical: %s\n",
                 slab_identical ? "PASS" : "FAIL");

@@ -1,8 +1,10 @@
 // Micro-benchmarks (google-benchmark): throughput of the hot inner pieces
-// — pattern expansion, feature extraction, device evaluation, trip-point
+// — pattern expansion, feature folding, device evaluation, trip-point
 // searches, NN forward/training, GA generations. These bound how many
 // characterization evaluations per second the simulated rig sustains.
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "ate/search.hpp"
 #include "ate/search_until_trip.hpp"
@@ -39,11 +41,16 @@ void BM_PatternExpansion(benchmark::State& state) {
 BENCHMARK(BM_PatternExpansion)->Arg(100)->Arg(1000);
 
 void BM_FeatureExtraction(benchmark::State& state) {
+    // A pattern folds its feature statistics as its cycles are added, so
+    // deriving the features costs building the pattern from its cycles
+    // plus the O(1) finalize.
     const testgen::Test test =
         make_random_test(static_cast<std::uint32_t>(state.range(0)));
+    const std::vector<testgen::VectorCycle> cycles(test.pattern.cycles().begin(),
+                                                   test.pattern.cycles().end());
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            testgen::extract_pattern_features(test.pattern));
+        const testgen::TestPattern pattern("fold", cycles);
+        benchmark::DoNotOptimize(testgen::extract_pattern_features(pattern));
     }
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }

@@ -29,13 +29,14 @@ constexpr double kMaxOverheadFraction = 0.02;
 
 core::OptimizerOptions hunt_options() {
     core::OptimizerOptions options;
-    // Sized so one hunt takes ~0.2 s: long enough that measurement jitter
-    // amortizes below the 2% budget the bench is resolving, short enough
-    // to keep the full three-arm run in CI-smoke territory.
+    // Sized so one off-arm hunt burns >= ~0.25 s of CPU (4-CPU x86-64
+    // host, Release): long enough that measurement jitter amortizes below
+    // the 2% budget the bench is resolving, short enough to keep the full
+    // three-arm run in CI-smoke territory.
     options.ga.population.size = 16;
-    options.ga.populations = 3;
-    options.ga.max_generations = 48;
-    options.ga.stagnation_limit = 48;
+    options.ga.populations = 6;
+    options.ga.max_generations = 64;
+    options.ga.stagnation_limit = 64;
     options.ga.max_restarts = 2;
     options.ga.migration_interval = 4;
     // No realtime emulation and no worker threads: the bench measures

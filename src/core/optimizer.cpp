@@ -379,11 +379,15 @@ WorstCaseReport WorstCaseOptimizer::drive(
     // slots).
     std::vector<Slot> slots_scratch;
 
-    // Measures one slot on a fresh cold replica of the DUT and returns the
-    // modeled tester-seconds it ledgered. The first-ever evaluation runs
-    // the full-range search and publishes the RTP follower; it must
-    // complete before any other slot uses `follower`.
+    // Expands the slot's pattern and measures it on a fresh cold replica
+    // of the DUT, on the worker (the const generator expands from a local
+    // rng seeded by the recipe), and returns the modeled tester-seconds it
+    // ledgered. The first-ever evaluation runs the full-range search and
+    // publishes the RTP follower; it must complete before any other slot
+    // uses `follower`.
     const auto measure_slot = [&](Slot& slot, bool establish_reference) {
+        slot.test = generator.make_test(slot.recipe, slot.conditions,
+                                        slot.name);
         // Warm slab lease when available, cold clone otherwise — the
         // leased replica is observably identical to the clone (reset_warm
         // contract).
@@ -511,10 +515,11 @@ WorstCaseReport WorstCaseOptimizer::drive(
 
     // Decode, name, and consult the cache for one slot on the calling
     // thread, in submission order. Returns false for cache hits (nothing
-    // to measure). Fault/policy streams fork here too, so a (seed,
-    // profile) pair replays the exact same fault sequence at any jobs
-    // count; draws happen only when enabled, keeping the disabled path's
-    // rng stream untouched.
+    // to measure). The cache key is recipe plus conditions, so the
+    // pattern itself is expanded later, by the worker. Fault/policy
+    // streams fork here too, so a (seed, profile) pair replays the exact
+    // same fault sequence at any jobs count; draws happen only when
+    // enabled, keeping the disabled path's rng stream untouched.
     const auto decode_slot = [&](Slot& slot, const ga::TestChromosome& c) {
         slot.recipe = c.decode_recipe(generator_options.min_cycles,
                                       generator_options.max_cycles);
@@ -530,8 +535,6 @@ WorstCaseReport WorstCaseOptimizer::drive(
                 return false;
             }
         }
-        slot.test = generator.make_test(slot.recipe, slot.conditions,
-                                        slot.name);
         slot.noise_seed = noise_rng();
         if (faults_on) slot.injector.emplace(injector->fork(0));
         if (policy_on) {

@@ -48,10 +48,11 @@ enum class Objective : std::uint8_t {
 /// results.
 ///
 /// There is one fitness engine: each live fitness slot is one job on an
-/// ate::AsyncTester completion queue — the whole trip search, its
-/// full-range fallback, the functional run, measurement-policy retries
-/// and fault forcing — run on a pool worker (or inline at jobs 1) while
-/// the calling thread decodes and admits the next slots. The admission
+/// ate::AsyncTester completion queue — the pattern expansion, the whole
+/// trip search, its full-range fallback, the functional run,
+/// measurement-policy retries and fault forcing — run on a pool worker
+/// (or inline at jobs 1) while the calling thread decodes and admits the
+/// next slots. The admission
 /// window is `inflight` slots per worker, and at least two per worker on
 /// a pool.
 struct HuntParallelOptions {

@@ -33,8 +33,13 @@ MemoryTestChip::MemoryTestChip(DieParameters die, MemoryChipOptions options,
 
 double MemoryTestChip::true_parameter(const testgen::Test& test,
                                       ParameterKind parameter) const {
-    const testgen::FeatureVector features =
-        testgen::extract_pattern_features(test.pattern);
+    return model_value(testgen::extract_pattern_features(test.pattern), test,
+                       parameter);
+}
+
+double MemoryTestChip::model_value(const testgen::FeatureVector& features,
+                                   const testgen::Test& test,
+                                   ParameterKind parameter) const {
     switch (parameter) {
         case ParameterKind::kDataValidTime:
             return model_.tdq_ns(features, test.conditions, die_);
@@ -52,10 +57,11 @@ void MemoryTestChip::absorb_heat(const testgen::TestPattern& pattern) {
     heat_ = std::min(1.0, heat_ + options_.drift_heat_per_kcycle * kilocycles);
 }
 
-double MemoryTestChip::measure(const testgen::Test& test,
+double MemoryTestChip::measure(const testgen::FeatureVector& features,
+                               const testgen::Test& test,
                                ParameterKind parameter) {
     ++applications_;
-    const double truth = true_parameter(test, parameter);
+    const double truth = model_value(features, test, parameter);
     double value = truth;
     switch (parameter) {
         case ParameterKind::kDataValidTime:
@@ -77,7 +83,8 @@ double MemoryTestChip::measure(const testgen::Test& test,
 
 bool MemoryTestChip::passes(const testgen::Test& test, ParameterKind parameter,
                             double setting) {
-    const double value = measure(test, parameter);
+    const double value =
+        measure(testgen::extract_pattern_features(test.pattern), test, parameter);
     switch (parameter) {
         case ParameterKind::kDataValidTime:
         case ParameterKind::kMaxFrequency:
@@ -97,12 +104,13 @@ FunctionalResult MemoryTestChip::run_functional(const testgen::Test& test) {
     // Parametric stress decides whether read data is valid in time. Noisy
     // like any measurement, but without strobe override: the device runs
     // at its own conditions.
-    const double tdq = measure(test, ParameterKind::kDataValidTime);
+    const testgen::FeatureVector features =
+        testgen::extract_pattern_features(test.pattern);
+    const double tdq = measure(features, test, ParameterKind::kDataValidTime);
     const bool timing_corrupts = tdq < options_.functional_limit_ns;
     const bool supply_collapses =
         test.conditions.vdd_volts <
-        model_.vmin_v(testgen::extract_pattern_features(test.pattern),
-                      test.conditions, die_);
+        model_.vmin_v(features, test.conditions, die_);
 
     array_dirty_ = true;
 

@@ -76,8 +76,14 @@ public:
     }
 
 private:
+    /// Noiseless model response to a test with pattern features
+    /// `features` (the pattern's folded statistics, finalized).
+    [[nodiscard]] double model_value(const testgen::FeatureVector& features,
+                                     const testgen::Test& test,
+                                     ParameterKind parameter) const;
     /// Measured (noisy, drift-affected) parameter value and bookkeeping.
-    [[nodiscard]] double measure(const testgen::Test& test,
+    [[nodiscard]] double measure(const testgen::FeatureVector& features,
+                                 const testgen::Test& test,
                                  ParameterKind parameter);
     void absorb_heat(const testgen::TestPattern& pattern);
 

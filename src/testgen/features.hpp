@@ -53,7 +53,8 @@ struct FeatureVector {
     [[nodiscard]] static std::string_view name(std::size_t i) noexcept;
 };
 
-/// Extracts pattern features only (condition slots left at 0).
+/// Pattern features only (condition slots left at 0): an O(1) finalize
+/// of the statistics the pattern folded as it was built.
 [[nodiscard]] FeatureVector extract_pattern_features(const TestPattern& pattern);
 
 /// Extracts the full feature vector; conditions are normalized against

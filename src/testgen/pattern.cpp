@@ -12,34 +12,40 @@ const char* to_string(BusOp op) noexcept {
 }
 
 void TestPattern::append(const TestPattern& other) {
+    const std::size_t first = cycles_.size();
     cycles_.insert(cycles_.end(), other.cycles_.begin(), other.cycles_.end());
+    fold_from(first);
+}
+
+void TestPattern::fold_from(std::size_t first) noexcept {
+    for (std::size_t i = first; i < cycles_.size(); ++i) stats_.fold(cycles_[i]);
 }
 
 void TestPattern::write(std::uint32_t address, std::uint16_t data, bool burst) {
-    cycles_.push_back(VectorCycle{.address = address,
-                                  .data = data,
-                                  .op = BusOp::kWrite,
-                                  .chip_enable = true,
-                                  .output_enable = false,
-                                  .burst = burst});
+    push_back(VectorCycle{.address = address,
+                          .data = data,
+                          .op = BusOp::kWrite,
+                          .chip_enable = true,
+                          .output_enable = false,
+                          .burst = burst});
 }
 
 void TestPattern::read(std::uint32_t address, bool burst) {
-    cycles_.push_back(VectorCycle{.address = address,
-                                  .data = 0,
-                                  .op = BusOp::kRead,
-                                  .chip_enable = true,
-                                  .output_enable = true,
-                                  .burst = burst});
+    push_back(VectorCycle{.address = address,
+                          .data = 0,
+                          .op = BusOp::kRead,
+                          .chip_enable = true,
+                          .output_enable = true,
+                          .burst = burst});
 }
 
 void TestPattern::nop() {
-    cycles_.push_back(VectorCycle{.address = 0,
-                                  .data = 0,
-                                  .op = BusOp::kNop,
-                                  .chip_enable = false,
-                                  .output_enable = false,
-                                  .burst = false});
+    push_back(VectorCycle{.address = 0,
+                          .data = 0,
+                          .op = BusOp::kNop,
+                          .chip_enable = false,
+                          .output_enable = false,
+                          .burst = false});
 }
 
 }  // namespace cichar::testgen

@@ -3,10 +3,14 @@
 // test generator emits in 100-1000 cycle bursts per trip-point measurement.
 #pragma once
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
+
+#include "testgen/address_map.hpp"
 
 namespace cichar::testgen {
 
@@ -27,16 +31,93 @@ struct VectorCycle {
     [[nodiscard]] bool operator==(const VectorCycle&) const = default;
 };
 
+/// Running statistics of a pattern's cycles: the counters and
+/// previous-cycle state of a single pass over the pattern, folded one
+/// cycle at a time as the pattern is built. extract_pattern_features
+/// turns them into the normalized pattern features in O(1).
+struct PatternStats {
+    double toggle_bits = 0.0;     ///< data bits flipped between writes
+    double addr_bits = 0.0;       ///< address bits flipped between ops
+    std::size_t write_pairs = 0;  ///< consecutive write pairs
+    std::size_t op_pairs = 0;     ///< consecutive non-NOP op pairs
+    std::size_t bank_conflicts = 0;
+    std::size_t same_row = 0;
+    std::size_t reads = 0;
+    std::size_t writes = 0;
+    std::size_t rw_switches = 0;
+    std::size_t bursts = 0;
+    std::size_t alternating_writes = 0;
+    std::size_t control_changes = 0;
+
+    std::uint32_t prev_addr = 0;
+    std::uint16_t prev_write_data = 0;
+    BusOp prev_op = BusOp::kNop;
+    bool have_prev_cycle = false;
+    bool have_prev_write = false;
+    bool have_prev_op = false;
+    bool prev_ce = true;
+    bool prev_oe = false;
+
+    /// Folds the next cycle of the pattern into the statistics.
+    void fold(const VectorCycle& vc) noexcept {
+        if (have_prev_cycle &&
+            (vc.chip_enable != prev_ce || vc.output_enable != prev_oe)) {
+            ++control_changes;
+        }
+        prev_ce = vc.chip_enable;
+        prev_oe = vc.output_enable;
+        have_prev_cycle = true;
+
+        if (vc.burst) ++bursts;
+
+        if (vc.op == BusOp::kNop) return;
+
+        if (vc.op == BusOp::kRead) ++reads;
+        if (vc.op == BusOp::kWrite) {
+            ++writes;
+            if (have_prev_write) {
+                toggle_bits += std::popcount(
+                    static_cast<std::uint16_t>(vc.data ^ prev_write_data));
+                ++write_pairs;
+            }
+            prev_write_data = vc.data;
+            have_prev_write = true;
+            if (vc.data == 0x5555 || vc.data == 0xAAAA) ++alternating_writes;
+        }
+
+        if (have_prev_op) {
+            addr_bits += std::popcount(vc.address ^ prev_addr);
+            ++op_pairs;
+            const bool same_bank = AddressMap::bank_of(vc.address) ==
+                                   AddressMap::bank_of(prev_addr);
+            const bool row_match = AddressMap::row_of(vc.address) ==
+                                   AddressMap::row_of(prev_addr);
+            if (same_bank && !row_match) ++bank_conflicts;
+            if (same_bank && row_match) ++same_row;
+            if ((vc.op == BusOp::kRead) != (prev_op == BusOp::kRead)) {
+                ++rw_switches;
+            }
+        }
+        prev_addr = vc.address;
+        prev_op = vc.op;
+        have_prev_op = true;
+    }
+};
+
 /// An ordered sequence of vector cycles with a human-readable name.
 ///
 /// Patterns are value types: the ATE, the device model, and the feature
-/// extractor all consume them read-only.
+/// extractor all consume them read-only. Every mutator folds the cycles
+/// it adds into stats(), so a pattern's features are derived once, as it
+/// is built, never per measurement.
 class TestPattern {
 public:
     TestPattern() = default;
     explicit TestPattern(std::string name) : name_(std::move(name)) {}
     TestPattern(std::string name, std::vector<VectorCycle> cycles)
-        : name_(std::move(name)), cycles_(std::move(cycles)) {}
+        : name_(std::move(name)), cycles_(std::move(cycles)) {
+        fold_from(0);
+    }
 
     [[nodiscard]] const std::string& name() const noexcept { return name_; }
     void set_name(std::string name) { name_ = std::move(name); }
@@ -51,7 +132,13 @@ public:
         return cycles_;
     }
 
-    void push_back(VectorCycle cycle) { cycles_.push_back(cycle); }
+    /// Running statistics of every cycle so far.
+    [[nodiscard]] const PatternStats& stats() const noexcept { return stats_; }
+
+    void push_back(VectorCycle cycle) {
+        cycles_.push_back(cycle);
+        stats_.fold(cycle);
+    }
     void reserve(std::size_t n) { cycles_.reserve(n); }
     void append(const TestPattern& other);
 
@@ -60,11 +147,18 @@ public:
     void read(std::uint32_t address, bool burst = false);
     void nop();
 
-    [[nodiscard]] bool operator==(const TestPattern&) const = default;
+    /// Equal names and cycles (the statistics follow from the cycles).
+    [[nodiscard]] bool operator==(const TestPattern& other) const {
+        return name_ == other.name_ && cycles_ == other.cycles_;
+    }
 
 private:
+    /// Folds cycles_[first..] into stats_.
+    void fold_from(std::size_t first) noexcept;
+
     std::string name_;
     std::vector<VectorCycle> cycles_;
+    PatternStats stats_;
 };
 
 }  // namespace cichar::testgen

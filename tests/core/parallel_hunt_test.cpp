@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,8 @@
 #include "core/optimizer.hpp"
 #include "core/report.hpp"
 #include "device/memory_chip.hpp"
+#include "testgen/features.hpp"
+#include "testgen/random_gen.hpp"
 
 namespace cichar::core {
 namespace {
@@ -208,6 +212,50 @@ TEST(ParallelHuntTest, DeadReplicaKeepsItsFaultStatsAtAnyJobs) {
     EXPECT_EQ(j1.site_deaths, 1u);
     EXPECT_GT(j1.measurements, 0u);
     EXPECT_EQ(j1, run_at(4));
+}
+
+TEST(ParallelHuntExpansionTest, FourThreadsExpandTheSerialPatterns) {
+    // The hunt expands every fitness pattern on a pool worker, from the
+    // one const generator shared by all of them: concurrent expansion
+    // must reproduce the serial patterns and their folded features.
+    const testgen::RandomTestGenerator generator;
+    util::Rng rng(2005);
+    constexpr std::size_t kThreads = 4;
+    constexpr std::size_t kPerThread = 24;
+    std::vector<testgen::PatternRecipe> recipes;
+    std::vector<testgen::TestConditions> conditions;
+    for (std::size_t i = 0; i < kThreads * kPerThread; ++i) {
+        recipes.push_back(generator.random_recipe(rng));
+        conditions.push_back(generator.random_conditions(rng));
+    }
+    const auto name_of = [](std::size_t i) { return "ga-" + std::to_string(i); };
+
+    std::vector<testgen::Test> serial;
+    for (std::size_t i = 0; i < recipes.size(); ++i) {
+        serial.push_back(
+            generator.make_test(recipes[i], conditions[i], name_of(i)));
+    }
+
+    std::vector<testgen::Test> parallel(recipes.size());
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            // Interleaved indices, so the threads expand side by side.
+            for (std::size_t i = t; i < recipes.size(); i += kThreads) {
+                parallel[i] =
+                    generator.make_test(recipes[i], conditions[i], name_of(i));
+            }
+        });
+    }
+    for (std::thread& thread : threads) thread.join();
+
+    for (std::size_t i = 0; i < recipes.size(); ++i) {
+        EXPECT_EQ(parallel[i].name, serial[i].name);
+        EXPECT_EQ(parallel[i].pattern, serial[i].pattern) << name_of(i);
+        EXPECT_EQ(parallel[i].conditions, serial[i].conditions);
+        EXPECT_EQ(testgen::extract_pattern_features(parallel[i].pattern).values,
+                  testgen::extract_pattern_features(serial[i].pattern).values);
+    }
 }
 
 }  // namespace
