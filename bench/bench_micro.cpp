@@ -29,16 +29,24 @@ testgen::Test make_random_test(std::uint32_t cycles) {
 }
 
 void BM_PatternExpansion(benchmark::State& state) {
-    testgen::RandomTestGenerator gen;
-    testgen::PatternRecipe r;
-    r.cycles = static_cast<std::uint32_t>(state.range(0));
-    r.seed = 7;
+    // GA-like traffic: rotate through 256 random recipes, so the cycle
+    // counts and per-cycle probabilities vary from call to call as they
+    // do in a hunt. Items are vector cycles.
+    const testgen::RandomTestGenerator gen;
+    util::Rng rng(7);
+    std::vector<testgen::PatternRecipe> recipes(256);
+    for (testgen::PatternRecipe& r : recipes) r = gen.random_recipe(rng);
+    std::size_t next = 0;
+    std::int64_t cycles = 0;
     for (auto _ : state) {
+        const testgen::PatternRecipe& r = recipes[next];
+        next = (next + 1) % recipes.size();
         benchmark::DoNotOptimize(gen.expand(r));
+        cycles += r.cycles;
     }
-    state.SetItemsProcessed(state.iterations() * state.range(0));
+    state.SetItemsProcessed(cycles);
 }
-BENCHMARK(BM_PatternExpansion)->Arg(100)->Arg(1000);
+BENCHMARK(BM_PatternExpansion);
 
 void BM_FeatureExtraction(benchmark::State& state) {
     // A pattern folds its feature statistics as its cycles are added, so

@@ -1,8 +1,10 @@
 #include "core/checkpoint.hpp"
 
 #include <exception>
+#include <sstream>
 #include <utility>
 
+#include "testgen/random_gen.hpp"
 #include "util/binio.hpp"
 #include "util/crash_point.hpp"
 
@@ -70,6 +72,17 @@ std::optional<std::string> read_checkpoint_file(const std::string& path,
         return std::nullopt;
     }
     return payload;
+}
+
+std::string hunt_fingerprint(std::uint64_t seed, std::string_view coding,
+                             std::size_t generations, std::size_t populations,
+                             bool cache, std::string_view faults, bool policy) {
+    std::ostringstream fp;
+    fp << "hunt:gen=" << testgen::kExpansionTag << ":seed=" << seed
+       << ":coding=" << coding << ":generations=" << generations
+       << ":populations=" << populations << ":cache=" << (cache ? 1 : 0)
+       << ":faults=" << faults << ":policy=" << (policy ? 1 : 0);
+    return fp.str();
 }
 
 }  // namespace cichar::core

@@ -13,6 +13,8 @@
 // caller starts cold. Version-1 ("CICHKPT1") files fail the magic check.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -44,6 +46,15 @@ inline constexpr std::string_view kCheckpointMagic = "CICHKPT2";
 [[nodiscard]] bool write_checkpoint_file(const std::string& path,
                                          std::string_view fingerprint,
                                          std::string_view payload);
+
+/// The fingerprint a `cichar hunt` checkpoint is written and resumed
+/// under: everything that shapes the hunt's streams, and the random test
+/// generator's expansion (testgen::kExpansionTag).
+[[nodiscard]] std::string hunt_fingerprint(std::uint64_t seed,
+                                           std::string_view coding,
+                                           std::size_t generations,
+                                           std::size_t populations, bool cache,
+                                           std::string_view faults, bool policy);
 
 /// Reads and unwraps a checkpoint file; nullopt when the file is missing
 /// or fails decode_checkpoint. Never throws.

@@ -126,7 +126,11 @@ namespace {
 // record bit for bit. Version 2 added the checksum, so a bit-flipped
 // cache file is rejected (cold start) instead of silently poisoning the
 // memo; version-1 files fail the magic check and also start cold.
-constexpr std::string_view kCacheMagic = "CICHTPC2";
+// Version 3 is the layout of version 2 under the fixed-draw-schedule
+// random test generator: a key is the recipe, not the pattern it
+// expands to, so version-2 trip points were measured on other patterns
+// and start cold.
+constexpr std::string_view kCacheMagic = "CICHTPC3";
 
 // Every entry field is one u64 word (cycles, found and the class too),
 // so an entry with an empty test name is 21 words. A count that could

@@ -87,7 +87,7 @@ public:
 
     /// Serializes every entry (least-recently-used first, so a load
     /// re-inserts them back into the same recency order) plus the given
-    /// device/process identity string into a sealed CICHTPC2 file image
+    /// device/process identity string into a sealed CICHTPC3 file image
     /// (util::seal). Doubles are stored as bit patterns, so a round trip
     /// is bit-exact.
     [[nodiscard]] std::string save(std::string_view identity) const;

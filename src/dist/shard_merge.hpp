@@ -8,7 +8,7 @@
 //   run of the whole lot would have written — the determinism contract
 //   the distributed service rests on.
 //
-// * Persistent trip caches (CICHTPC2) — per-shard warm-start caches
+// * Persistent trip caches (CICHTPC3) — per-shard warm-start caches
 //   fused entry-wise so a follow-up hunt starts warm across the union.
 //
 // All validation is strict: fingerprint/identity mismatches, overlapping
@@ -45,7 +45,7 @@ struct MergeStats {
     const std::vector<std::string>& blobs,
     std::string_view expected_fingerprint = {}, MergeStats* stats = nullptr);
 
-/// Loads every CICHTPC2 trip-cache file, requires one common device
+/// Loads every CICHTPC3 trip-cache file, requires one common device
 /// identity across them, fuses entries in argument order (a later
 /// shard's record wins a key collision), and atomically writes the
 /// merged cache to `out_path`. Returns the shared identity. Throws

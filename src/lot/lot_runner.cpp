@@ -81,11 +81,12 @@ std::string LotRunner::fingerprint() const {
     // Everything that changes per-site results belongs here; `jobs` and
     // the checkpoint knobs do not (results are thread-count independent),
     // nor do inflight, the slab size, and ring sharing (perf knobs only),
-    // so a checkpoint resumes across all of them. "v2": site hunts
-    // measure on replicas; checkpoints, manifests, and ledgers of lots
-    // whose sites hunted in situ used "lot:" and must not mix with these.
+    // so a checkpoint resumes across all of them. "v3": site hunts
+    // expand recipes with the fixed-draw-schedule generator; "v2" lots
+    // measured other patterns for the same recipes, and lots whose sites
+    // hunted in situ used "lot:". Neither may mix with these.
     std::ostringstream out;
-    out << "lot:v2:seed=" << options_.seed << ":sites=" << options_.sites
+    out << "lot:v3:seed=" << options_.seed << ":sites=" << options_.sites
         << ":params=";
     for (const ate::Parameter& parameter : options_.parameters) {
         out << parameter.name << ",";
@@ -94,6 +95,15 @@ std::string LotRunner::fingerprint() const {
         << ":policy=" << (options_.policy.enabled ? 1 : 0)
         << ":quarantine=" << options_.policy.quarantine_after;
     return out.str();
+}
+
+std::size_t shared_ring_credits(std::size_t inflight, std::size_t sites_to_run,
+                                std::size_t jobs) {
+    // Every running site holds a guaranteed floor of 1; only the depth
+    // beyond the floors is donatable.
+    const std::size_t running =
+        std::min(sites_to_run, util::ThreadPool::resolved_threads(jobs));
+    return inflight > running ? inflight - running : 0;
 }
 
 std::string encode_finished_sites(const std::vector<SiteResult>& sites) {
@@ -287,11 +297,8 @@ LotResult LotRunner::run() const {
     std::optional<ate::SharedRingCredits> shared_credits;
     std::size_t site_inflight = options_.inflight;
     if (options_.shared_ring) {
-        // Every site holds a guaranteed floor of 1; only the depth beyond
-        // the floors is donatable.
-        shared_credits.emplace(options_.inflight > options_.sites
-                                   ? options_.inflight - options_.sites
-                                   : 0);
+        shared_credits.emplace(shared_ring_credits(
+            options_.inflight, to_run.size(), options_.jobs));
     } else {
         site_inflight =
             std::max<std::size_t>(1, options_.inflight / options_.sites);

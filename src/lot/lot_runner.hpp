@@ -235,6 +235,13 @@ private:
 [[nodiscard]] std::vector<SiteResult> decode_finished_sites(
     const std::string& payload);
 
+/// Credits of the lot-wide shared ring: the inflight budget beyond the
+/// floor of one request held by each site that runs at once — at most
+/// `sites_to_run`, and at most the workers of a `jobs` pool.
+[[nodiscard]] std::size_t shared_ring_credits(std::size_t inflight,
+                                              std::size_t sites_to_run,
+                                              std::size_t jobs);
+
 /// Installs decoded entries into a lot's site array, validating site
 /// indices, duplicate/finished collisions, and parameter names against
 /// `parameters`. Throws std::runtime_error on any mismatch.

@@ -14,6 +14,8 @@
 
 namespace cichar::testgen {
 
+class RandomTestGenerator;
+
 /// Memory-bus operation of one vector cycle.
 enum class BusOp : std::uint8_t { kNop = 0, kRead = 1, kWrite = 2 };
 
@@ -57,6 +59,8 @@ struct PatternStats {
     bool have_prev_op = false;
     bool prev_ce = true;
     bool prev_oe = false;
+
+    [[nodiscard]] bool operator==(const PatternStats&) const = default;
 
     /// Folds the next cycle of the pattern into the statistics.
     void fold(const VectorCycle& vc) noexcept {
@@ -153,6 +157,14 @@ public:
     }
 
 private:
+    friend class RandomTestGenerator;
+
+    /// Takes the statistics the random generator folded as it drew the
+    /// cycles; `stats` must equal folding `cycles` from empty.
+    TestPattern(std::string name, std::vector<VectorCycle> cycles,
+                const PatternStats& stats)
+        : name_(std::move(name)), cycles_(std::move(cycles)), stats_(stats) {}
+
     /// Folds cycles_[first..] into stats_.
     void fold_from(std::size_t first) noexcept;
 

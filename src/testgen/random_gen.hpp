@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "testgen/conditions.hpp"
 #include "testgen/recipe.hpp"
@@ -13,6 +14,12 @@
 #include "util/rng.hpp"
 
 namespace cichar::testgen {
+
+/// Names how expand() turns a recipe into cycles. Fingerprints of saved
+/// state that holds measurements of expanded patterns (hunt and lot
+/// checkpoints) carry it, so state measured on another expansion of the
+/// same recipes is refused.
+inline constexpr std::string_view kExpansionTag = "draws2";
 
 /// Configuration of the random test generator.
 struct RandomGeneratorOptions {
@@ -40,7 +47,9 @@ public:
     /// Samples random conditions within the configured bounds.
     [[nodiscard]] TestConditions random_conditions(util::Rng& rng) const;
 
-    /// Deterministically expands a recipe into a vector pattern.
+    /// Deterministically expands a recipe into a vector pattern: a fixed
+    /// schedule of two 64-bit draws per cycle, branch-free selects, and
+    /// the pattern statistics folded as the cycles are drawn.
     [[nodiscard]] TestPattern expand(const PatternRecipe& recipe,
                                      std::string name = {}) const;
 

@@ -28,10 +28,14 @@ struct PoolMetrics {
 
 }  // namespace
 
+std::size_t ThreadPool::resolved_threads(std::size_t threads) noexcept {
+    return threads != 0
+               ? threads
+               : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
+
 ThreadPool::ThreadPool(std::size_t threads) {
-    if (threads == 0) {
-        threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    }
+    threads = resolved_threads(threads);
     workers_.reserve(threads);
     for (std::size_t i = 0; i < threads; ++i) {
         workers_.emplace_back([this] { worker_loop(); });

@@ -63,6 +63,9 @@ public:
     /// (at least 1).
     explicit ThreadPool(std::size_t threads = 0);
 
+    /// The number of workers a pool built with `threads` spawns.
+    [[nodiscard]] static std::size_t resolved_threads(std::size_t threads) noexcept;
+
     /// Drains outstanding tasks (exceptions from them are discarded at
     /// this point) and joins the workers.
     ~ThreadPool();

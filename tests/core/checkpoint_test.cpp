@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <string>
 
+#include "testgen/random_gen.hpp"
 #include "util/binio.hpp"
 
 namespace cichar::core {
@@ -16,6 +17,23 @@ TEST(CheckpointTest, EncodeDecodeRoundTrip) {
     std::string out;
     ASSERT_TRUE(decode_checkpoint(blob, "hunt:dvt:seed=7", out));
     EXPECT_EQ(out, payload);
+}
+
+// A hunt checkpoint written before the fixed-draw-schedule generator
+// (its fingerprint had no expansion tag) holds populations measured on
+// other patterns: --resume refuses it.
+TEST(CheckpointTest, HuntFingerprintRefusesThePreviousGenerator) {
+    const std::string current =
+        hunt_fingerprint(7, "fuzzy", 40, 4, true, "off", false);
+    EXPECT_NE(current.find(testgen::kExpansionTag), std::string::npos);
+    const std::string legacy =
+        "hunt:seed=7:coding=fuzzy:generations=40:populations=4:cache=1:"
+        "faults=off:policy=0";
+    const std::string blob = encode_checkpoint(legacy, "state");
+    std::string out;
+    EXPECT_FALSE(decode_checkpoint(blob, current, out));
+    ASSERT_TRUE(decode_checkpoint(encode_checkpoint(current, "state"), current, out));
+    EXPECT_EQ(out, "state");
 }
 
 TEST(CheckpointTest, RejectsWrongFingerprint) {

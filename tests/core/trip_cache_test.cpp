@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "util/binio.hpp"
 
@@ -270,7 +272,7 @@ TEST(TripCachePersistTest, ForgedEntryCountRefused) {
     std::string payload;
     util::put_string(payload, "id");
     util::put_u64(payload, 1ULL << 24);
-    const std::string forged = util::seal("CICHTPC2", payload);
+    const std::string forged = util::seal("CICHTPC3", payload);
     ASSERT_EQ(forged.size(), 34u);
     TripPointCache loaded(4);
     EXPECT_FALSE(loaded.load(forged, "id"));
@@ -283,6 +285,25 @@ TEST(TripCachePersistTest, OldFormatVersionStartsCold) {
     const std::string v1("CICHTPC1\x02\x00\x00\x00\x00\x00\x00\x00id", 18);
     TripPointCache loaded(4);
     EXPECT_FALSE(loaded.load(v1, "id"));
+    EXPECT_EQ(loaded.size(), 0u);
+}
+
+// Version 2 has the same layout, but its trip points were measured on
+// the patterns of the previous random test generator: a well-formed,
+// correctly sealed version-2 image starts cold.
+TEST(TripCachePersistTest, PreviousGeneratorVersionStartsCold) {
+    TripPointCache cache(4);
+    cache.insert(make_key(), make_record(25.0));
+    const std::string current = cache.save("id");
+    const std::optional<std::string_view> payload =
+        util::unseal("CICHTPC3", current);
+    ASSERT_TRUE(payload.has_value());
+    TripPointCache reloaded(4);
+    ASSERT_TRUE(reloaded.load(current, "id"));
+    EXPECT_EQ(reloaded.size(), 1u);
+
+    TripPointCache loaded(4);
+    EXPECT_FALSE(loaded.load(util::seal("CICHTPC2", *payload), "id"));
     EXPECT_EQ(loaded.size(), 0u);
 }
 

@@ -7,10 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
+#include "core/checkpoint.hpp"
 #include "lot/lot_report.hpp"
+#include "util/thread_pool.hpp"
 
 namespace cichar::lot {
 namespace {
@@ -116,6 +119,29 @@ TEST(LotReplicaTest, PerfKnobsStayOutOfTheFingerprint) {
     deep.shared_ring = false;
     EXPECT_EQ(LotRunner(deep).fingerprint(), reference);
     EXPECT_EQ(reference.find("replica"), std::string::npos);
+}
+
+TEST(LotReplicaTest, SharedRingFloorsOnlyTheSitesThatRunAtOnce) {
+    // 8 sites on 2 workers: only 2 floors are ever held, so an inflight
+    // budget of 16 leaves 14 credits to borrow.
+    EXPECT_EQ(shared_ring_credits(16, 8, 2), 14u);
+    EXPECT_EQ(shared_ring_credits(16, 8, 8), 8u);
+    EXPECT_EQ(shared_ring_credits(16, 1, 4), 15u);  // one site left to run
+    EXPECT_EQ(shared_ring_credits(4, 8, 8), 0u);    // budget below the floors
+    EXPECT_EQ(shared_ring_credits(16, 8, 0),
+              16 - std::min<std::size_t>(8, util::ThreadPool::resolved_threads(0)));
+}
+
+TEST(LotReplicaTest, PreviousGeneratorCheckpointIsRefused) {
+    // "lot:v2" checkpoints hold sites measured on the patterns of the
+    // previous random test generator.
+    LotOptions options = replica_lot(2, 1, 1);
+    std::string legacy = LotRunner(options).fingerprint();
+    ASSERT_EQ(legacy.rfind("lot:v3:", 0), 0u);
+    legacy.replace(0, 7, "lot:v2:");
+    options.checkpoint.resume_blob =
+        core::encode_checkpoint(legacy, encode_finished_sites({}));
+    EXPECT_THROW((void)LotRunner(options).run(), std::runtime_error);
 }
 
 TEST(LotReplicaTest, ZeroInflightIsRejected) {

@@ -448,17 +448,12 @@ int cmd_hunt(const Args& args) {
     ate::FaultInjector injector(*profile);
     if (profile->any()) tester.attach_fault_injector(&injector);
 
-    // Checkpoint fingerprint: everything that shapes the hunt's streams.
     // A checkpoint written under a different configuration is refused on
     // resume instead of silently producing a mixed-state run.
-    std::ostringstream fp;
-    fp << "hunt:seed=" << seed << ":coding=" << args.get("coding", "fuzzy")
-       << ":generations=" << options.optimizer.ga.max_generations
-       << ":populations=" << options.optimizer.ga.populations
-       << ":cache=" << (options.optimizer.cache.enabled ? 1 : 0)
-       << ":faults=" << profile->describe()
-       << ":policy=" << (policy_on ? 1 : 0);
-    const std::string fingerprint = fp.str();
+    const std::string fingerprint = core::hunt_fingerprint(
+        seed, args.get("coding", "fuzzy"), options.optimizer.ga.max_generations,
+        options.optimizer.ga.populations, options.optimizer.cache.enabled,
+        profile->describe(), policy_on);
 
     // --status DIR: live snapshot feed. The hunt is a one-site campaign
     // (site 0); the optimizer progress hook posts each GA generation.
