@@ -24,7 +24,7 @@ int main() {
     constexpr std::size_t kTests = 100;
     std::vector<testgen::Test> tests;
     for (std::size_t i = 0; i < kTests; ++i) {
-        tests.push_back(generator.random_test(rng, "t" + std::to_string(i)));
+        tests.push_back(generator.random_test(rng, std::string("t").append(std::to_string(i))));
     }
 
     bench::section("stable device: measurements per trip point");

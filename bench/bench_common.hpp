@@ -110,7 +110,7 @@ public:
         entries_.emplace_back(key, value ? "true" : "false");
     }
     void set_string(const std::string& key, const std::string& value) {
-        entries_.emplace_back(key, "\"" + escape(value) + "\"");
+        entries_.emplace_back(key, std::string("\"").append(escape(value)) + "\"");
     }
     void set_numbers(const std::string& key, const std::vector<double>& values) {
         std::string raw = "[";

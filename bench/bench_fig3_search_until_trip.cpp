@@ -84,7 +84,7 @@ int main() {
     std::vector<testgen::Test> tests;
     tests.reserve(kTests);
     for (std::size_t i = 0; i < kTests; ++i) {
-        tests.push_back(generator.random_test(rng, "t" + std::to_string(i)));
+        tests.push_back(generator.random_test(rng, std::string("t").append(std::to_string(i))));
     }
 
     const ate::Parameter param = ate::Parameter::data_valid_time();

@@ -27,7 +27,7 @@ int main() {
     std::vector<testgen::Test> tests;
     tests.reserve(kTests);
     for (std::size_t i = 0; i < kTests; ++i) {
-        tests.push_back(generator.random_test(rng, "s" + std::to_string(i)));
+        tests.push_back(generator.random_test(rng, std::string("s").append(std::to_string(i))));
     }
 
     ate::ShmooOptions options;

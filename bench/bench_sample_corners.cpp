@@ -21,7 +21,7 @@ int main() {
     util::Rng rng(kSeed);
     std::vector<testgen::Test> tests;
     for (int i = 0; i < 10; ++i) {
-        tests.push_back(generator.random_test(rng, "t" + std::to_string(i)));
+        tests.push_back(generator.random_test(rng, std::string("t").append(std::to_string(i))));
     }
 
     bench::section("wafer sample (12 dies, nominal conditions)");
@@ -65,7 +65,7 @@ int main() {
         for (const auto& [vdd, temp] : corner_opts.environment_grid) {
             double worst_trip = 1e9;
             double worst_wcr = 0.0;
-            const std::string tag = "@" + std::to_string(vdd) + "V";
+            const std::string tag = std::string("@").append(std::to_string(vdd)) + "V";
             for (const core::DieCampaign& die : corners.dies) {
                 for (const core::TripPointRecord& r : die.dsv.records()) {
                     if (!r.found) continue;

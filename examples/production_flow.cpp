@@ -29,7 +29,7 @@ int main() {
     const testgen::RandomTestGenerator generator(gen_opts);
     std::vector<testgen::Test> tests;
     for (int i = 0; i < 15; ++i) {
-        tests.push_back(generator.random_test(rng, "t" + std::to_string(i)));
+        tests.push_back(generator.random_test(rng, std::string("t").append(std::to_string(i))));
     }
     core::SampleOptions sample_opts;
     sample_opts.dies = 8;

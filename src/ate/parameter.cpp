@@ -34,46 +34,45 @@ double Parameter::clamp(double setting) const noexcept {
     return std::clamp(setting, lo, hi);
 }
 
+// Designated initializers construct the name and unit strings in place:
+// assigning string literals to default-constructed members trips GCC 12's
+// -Wrestrict false positive inside the inlined std::string copy.
 Parameter Parameter::data_valid_time() {
-    Parameter p;
-    p.name = "T_DQ";
-    p.unit = "ns";
-    p.kind = device::ParameterKind::kDataValidTime;
-    p.spec = 20.0;
-    p.spec_type = SpecType::kMinLimit;
-    p.fail_high = true;   // large strobe settings exceed the valid window
-    p.search_start = 15.0;
-    p.search_end = 45.0;
-    p.resolution = 0.1;
-    return p;
+    return Parameter{.name = "T_DQ",
+                     .unit = "ns",
+                     .kind = device::ParameterKind::kDataValidTime,
+                     .spec = 20.0,
+                     .spec_type = SpecType::kMinLimit,
+                     // large strobe settings exceed the valid window
+                     .fail_high = true,
+                     .search_start = 15.0,
+                     .search_end = 45.0,
+                     .resolution = 0.1};
 }
 
 Parameter Parameter::max_frequency() {
-    Parameter p;
-    p.name = "Fmax";
-    p.unit = "MHz";
-    p.kind = device::ParameterKind::kMaxFrequency;
-    p.spec = 100.0;
-    p.spec_type = SpecType::kMinLimit;
-    p.fail_high = true;
-    p.search_start = 60.0;
-    p.search_end = 160.0;
-    p.resolution = 0.5;
-    return p;
+    return Parameter{.name = "Fmax",
+                     .unit = "MHz",
+                     .kind = device::ParameterKind::kMaxFrequency,
+                     .spec = 100.0,
+                     .spec_type = SpecType::kMinLimit,
+                     .fail_high = true,
+                     .search_start = 60.0,
+                     .search_end = 160.0,
+                     .resolution = 0.5};
 }
 
 Parameter Parameter::min_vdd() {
-    Parameter p;
-    p.name = "Vmin";
-    p.unit = "V";
-    p.kind = device::ParameterKind::kMinVdd;
-    p.spec = 1.60;
-    p.spec_type = SpecType::kMaxLimit;
-    p.fail_high = false;  // low supply fails; search downward from 2.2 V
-    p.search_start = 2.2;
-    p.search_end = 1.0;
-    p.resolution = 0.005;
-    return p;
+    return Parameter{.name = "Vmin",
+                     .unit = "V",
+                     .kind = device::ParameterKind::kMinVdd,
+                     .spec = 1.60,
+                     .spec_type = SpecType::kMaxLimit,
+                     // low supply fails; search downward from 2.2 V
+                     .fail_high = false,
+                     .search_start = 2.2,
+                     .search_end = 1.0,
+                     .resolution = 0.005};
 }
 
 }  // namespace cichar::ate

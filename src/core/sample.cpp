@@ -63,7 +63,11 @@ SampleResult SampleCharacterizer::run(const ate::Parameter& parameter,
         for (const auto& [vdd, temperature] : options_.environment_grid) {
             for (const testgen::Test& test : tests) {
                 testgen::Test t = test;
-                t.name += "@" + std::to_string(vdd) + "V";
+                // Appended piecewise: `"@" + std::to_string(...)` trips
+                // GCC 12's -Wrestrict false positive in string::insert.
+                t.name += '@';
+                t.name += std::to_string(vdd);
+                t.name += 'V';
                 t.conditions.vdd_volts = vdd;
                 t.conditions.temperature_c = temperature;
                 expanded.push_back(std::move(t));

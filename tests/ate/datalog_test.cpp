@@ -37,7 +37,7 @@ TEST(DatalogTest, RingDropsOldest) {
     Datalog log(3);
     log.set_enabled(true);
     for (int i = 0; i < 5; ++i) {
-        log.record(entry("e" + std::to_string(i), i, true));
+        log.record(entry(std::string("e").append(std::to_string(i)), i, true));
     }
     EXPECT_EQ(log.size(), 3u);
     EXPECT_EQ(log.total_recorded(), 5u);

@@ -169,7 +169,7 @@ TEST(AsyncHuntDeterminismTest, ByteIdenticalAcrossJobsAndInflight) {
             config.jobs = jobs;
             config.inflight = inflight;
             config.cache_file = fresh_cache_path(
-                "j" + std::to_string(jobs) + "i" + std::to_string(inflight));
+                std::string("j").append(std::to_string(jobs)) + std::string("i").append(std::to_string(inflight)));
             const HuntResult async = run_hunt(config);
             SCOPED_TRACE("jobs=" + std::to_string(jobs) +
                          " inflight=" + std::to_string(inflight));
@@ -264,8 +264,8 @@ TEST(AsyncHuntDeterminismTest, ByteIdenticalAcrossReplicaSlabSizes) {
                 config.inflight = inflight;
                 config.replica_slab = slab;
                 config.cache_file = fresh_cache_path(
-                    "s" + std::to_string(slab) + "i" +
-                    std::to_string(inflight) + "j" + std::to_string(jobs));
+                    std::string("s").append(std::to_string(slab)) + "i" +
+                    std::to_string(inflight) + std::string("j").append(std::to_string(jobs)));
                 const HuntResult warm = run_hunt(config);
                 SCOPED_TRACE("slab=" + std::to_string(slab) +
                              " inflight=" + std::to_string(inflight) +

@@ -37,7 +37,7 @@ TEST(DatabaseTest, SortedWorstFirst) {
 TEST(DatabaseTest, CapacityKeepsTop) {
     WorstCaseDatabase db(3);
     for (int i = 0; i < 10; ++i) {
-        db.add(entry("e" + std::to_string(i), 0.5 + 0.01 * i));
+        db.add(entry(std::string("e").append(std::to_string(i)), 0.5 + 0.01 * i));
     }
     EXPECT_EQ(db.size(), 3u);
     EXPECT_NEAR(db.worst().wcr, 0.59, 1e-12);

@@ -329,7 +329,7 @@ TEST(MeasurementPolicyTest, FaultedSessionRecoversFaultFreeTripPoints) {
     util::Rng test_rng(77);
     std::vector<testgen::Test> tests;
     for (std::size_t i = 0; i < 12; ++i) {
-        tests.push_back(gen.random_test(test_rng, "t" + std::to_string(i)));
+        tests.push_back(gen.random_test(test_rng, std::string("t").append(std::to_string(i))));
     }
 
     // Clean reference run.

@@ -20,7 +20,7 @@ std::vector<testgen::Test> random_tests(std::size_t n, std::uint64_t seed) {
     util::Rng rng(seed);
     std::vector<testgen::Test> tests;
     for (std::size_t i = 0; i < n; ++i) {
-        tests.push_back(gen.random_test(rng, "t" + std::to_string(i)));
+        tests.push_back(gen.random_test(rng, std::string("t").append(std::to_string(i))));
     }
     return tests;
 }

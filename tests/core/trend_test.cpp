@@ -40,7 +40,7 @@ TEST(LinearSlopeTest, DegenerateInputs) {
 TEST(TrendTest, StableProcessNoAlarm) {
     TrendMonitor monitor(ate::Parameter::data_valid_time());
     for (int i = 0; i < 5; ++i) {
-        monitor.add(lot("L" + std::to_string(i), 30.0, 28.0, 32.0, 0.71));
+        monitor.add(lot(std::string("L").append(std::to_string(i)), 30.0, 28.0, 32.0, 0.71));
     }
     EXPECT_NEAR(monitor.median_slope(), 0.0, 1e-12);
     EXPECT_FALSE(monitor.drifting_toward_spec(0.05));
@@ -52,7 +52,7 @@ TEST(TrendTest, ShrinkingMarginDetected) {
     TrendMonitor monitor(ate::Parameter::data_valid_time());
     for (int i = 0; i < 5; ++i) {
         const double shift = 0.4 * i;
-        monitor.add(lot("L" + std::to_string(i), 30.0 - shift, 28.0 - shift,
+        monitor.add(lot(std::string("L").append(std::to_string(i)), 30.0 - shift, 28.0 - shift,
                         32.0 - shift, 0.71 + 0.01 * i));
     }
     EXPECT_NEAR(monitor.worst_slope(), -0.4, 1e-9);
@@ -66,7 +66,7 @@ TEST(TrendTest, ShrinkingMarginDetected) {
 TEST(TrendTest, ImprovingProcessNotFlagged) {
     TrendMonitor monitor(ate::Parameter::data_valid_time());
     for (int i = 0; i < 4; ++i) {
-        monitor.add(lot("L" + std::to_string(i), 30.0 + 0.3 * i,
+        monitor.add(lot(std::string("L").append(std::to_string(i)), 30.0 + 0.3 * i,
                         28.0 + 0.3 * i, 32.0 + 0.3 * i, 0.71 - 0.01 * i));
     }
     EXPECT_FALSE(monitor.drifting_toward_spec(0.05));
@@ -77,7 +77,7 @@ TEST(TrendTest, MaxLimitDirectionReversed) {
     // Vmin spec is a max limit: drift toward spec = worst (max) rising.
     TrendMonitor monitor(ate::Parameter::min_vdd());
     for (int i = 0; i < 4; ++i) {
-        monitor.add(lot("L" + std::to_string(i), 1.30 + 0.02 * i,
+        monitor.add(lot(std::string("L").append(std::to_string(i)), 1.30 + 0.02 * i,
                         1.25 + 0.02 * i, 1.40 + 0.02 * i, 0.85 + 0.01 * i));
     }
     EXPECT_TRUE(monitor.drifting_toward_spec(0.01));
@@ -118,7 +118,7 @@ TEST(TrendTest, SummarizeLotFromSample) {
     util::Rng rng(5);
     std::vector<testgen::Test> tests;
     for (int i = 0; i < 4; ++i) {
-        tests.push_back(generator.random_test(rng, "t" + std::to_string(i)));
+        tests.push_back(generator.random_test(rng, std::string("t").append(std::to_string(i))));
     }
     const SampleResult sample =
         characterizer.run(ate::Parameter::data_valid_time(), tests, rng);

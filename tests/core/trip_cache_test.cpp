@@ -22,7 +22,7 @@ TripCacheKey make_key() {
 
 TripPointRecord make_record(double trip) {
     TripPointRecord record;
-    record.test_name = "t";
+    record.test_name = std::string("t");  // a literal trips GCC 12 -Wrestrict
     record.trip_point = trip;
     record.found = true;
     record.measurements = 7;

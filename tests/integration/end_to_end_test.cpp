@@ -87,7 +87,7 @@ TEST(EndToEndTest, ShmooBandShowsTestDependence) {
     util::Rng rng(3);
     std::vector<testgen::Test> tests;
     for (int i = 0; i < 30; ++i) {
-        tests.push_back(gen.random_test(rng, "s" + std::to_string(i)));
+        tests.push_back(gen.random_test(rng, std::string("s").append(std::to_string(i))));
     }
     ate::ShmooOptions opts;
     opts.x_steps = 45;
@@ -121,7 +121,7 @@ TEST(EndToEndTest, SearchUntilTripSavesMeasurements) {
     util::Rng rng(4);
     std::vector<testgen::Test> tests;
     for (int i = 0; i < 40; ++i) {
-        tests.push_back(gen.random_test(rng, "m" + std::to_string(i)));
+        tests.push_back(gen.random_test(rng, std::string("m").append(std::to_string(i))));
     }
 
     const core::MultiTripCharacterizer characterizer;

@@ -47,7 +47,7 @@ TEST_P(ParameterSweepTest, MultiTripMatchesGroundTruth) {
     util::Rng rng(31);
     for (int i = 0; i < 12; ++i) {
         const testgen::Test test =
-            generator.random_test(rng, "p" + std::to_string(i));
+            generator.random_test(rng, std::string("p").append(std::to_string(i)));
         const core::TripPointRecord record = session.measure(test);
         ASSERT_TRUE(record.found) << param.name << " test " << i;
         const double truth = chip.true_parameter(test, param.kind);
@@ -102,7 +102,7 @@ TEST_P(NoiseSweepTest, SearchConvergesUnderNoise) {
     util::Rng rng(17);
     for (int i = 0; i < 8; ++i) {
         const testgen::Test test =
-            generator.random_test(rng, "n" + std::to_string(i));
+            generator.random_test(rng, std::string("n").append(std::to_string(i)));
         const core::TripPointRecord record = session.measure(test);
         ASSERT_TRUE(record.found);
         const double truth = chip.true_parameter(

@@ -2,6 +2,7 @@
 // the finished pattern: extract_pattern_features finalizes counters the
 // pattern folded as it was built, and must match, bit for bit, the
 // one-pass extractor it replaced, however the pattern was built.
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <sstream>
@@ -137,7 +138,7 @@ std::vector<TestPattern> random_patterns(std::uint64_t seed, std::size_t n) {
     std::vector<TestPattern> patterns;
     for (std::size_t i = 0; i < n; ++i) {
         patterns.push_back(
-            gen.expand(gen.random_recipe(rng), "r" + std::to_string(i)));
+            gen.expand(gen.random_recipe(rng), std::string("r").append(std::to_string(i))));
     }
     return patterns;
 }
@@ -147,6 +148,38 @@ TEST(FeatureFoldTest, RandomRecipesOverManySeeds) {
         for (const TestPattern& p : random_patterns(seed, 8)) {
             expect_matches_reference(p);
         }
+    }
+}
+
+// The random generator folds the statistics in its own loop and hands
+// them over whole: every counter and the previous-cycle state must equal
+// a fold of the finished cycles, so later appends continue correctly.
+PatternStats fold_of(const TestPattern& pattern) {
+    PatternStats stats;
+    for (const VectorCycle& vc : pattern.cycles()) stats.fold(vc);
+    return stats;
+}
+
+TEST(FeatureFoldTest, GeneratorHandsOverTheFoldOfItsCycles) {
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        for (const TestPattern& p : random_patterns(seed, 8)) {
+            EXPECT_EQ(p.stats(), fold_of(p)) << p.name() << " seed " << seed;
+        }
+    }
+    // Probabilities at 0 and 1, where a threshold must never or always fire.
+    const RandomTestGenerator gen;
+    util::Rng rng(41);
+    for (int i = 0; i < 64; ++i) {
+        std::array<double, kSequenceGeneCount> genes{};
+        for (double& g : genes) g = static_cast<double>(rng.index(3)) / 2.0;
+        PatternRecipe r = PatternRecipe::decode(genes, 0, 300);
+        r.seed = rng();
+        const TestPattern p = gen.expand(r, "edge");
+        EXPECT_EQ(p.stats(), fold_of(p)) << r.describe();
+        expect_matches_reference(p);
+        TestPattern grown = p;
+        grown.append(checkerboard());
+        expect_matches_reference(grown);
     }
 }
 

@@ -688,7 +688,7 @@ int cmd_shmoo(const Args& args) {
     util::Rng rng(seed);
     std::vector<testgen::Test> tests;
     for (std::size_t i = 0; i < test_count; ++i) {
-        tests.push_back(generator.random_test(rng, "t" + std::to_string(i)));
+        tests.push_back(generator.random_test(rng, std::string("t").append(std::to_string(i))));
     }
     ate::ShmooOptions shmoo_options;
     shmoo_options.x_min = 18.0;
