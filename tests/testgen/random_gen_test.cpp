@@ -249,7 +249,7 @@ struct Tally {
     std::size_t located = 0, same_row = 0, conflicts = 0;
     // Write data that could come from each mode (a word can match two).
     std::size_t complemented = 0, parity_words = 0, solid_words = 0,
-                other_words = 0;
+                solid_ones = 0, other_words = 0;
 };
 
 Tally tally(const TestPattern& p) {
@@ -281,6 +281,7 @@ Tally tally(const TestPattern& p) {
             if (complemented) ++t.complemented;
             if (vc.data == parity) ++t.parity_words;
             if (solid) ++t.solid_words;
+            if (vc.data == 0xFFFF) ++t.solid_ones;
             if (!complemented && vc.data != parity && !solid) ++t.other_words;
             prev_data = vc.data;
             have_write = true;
@@ -452,6 +453,7 @@ TEST(RandomGenContractTest, DataModeMixMatchesTheRecipe) {
         }
         if (m.toggle == 0.0 && m.alternating == 0.0) {
             expect_share(t.solid_words, t.writes, m.solid, "solid words");
+            expect_share(t.solid_ones, t.solid_words, 0.5, "0xFFFF of solid words");
         }
     }
 }
